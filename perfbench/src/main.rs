@@ -8,8 +8,10 @@
 //! Spawns four `KvServer`s in this process, mounts them with
 //! `MemFs::connect` (`pool_connections: 1`, other settings default) and
 //! runs the workload as a closed loop of two caller threads sharing the
-//! mount. Set-up (servers, mount, staged inputs, warm-up) is repeated
-//! and its median reported as `setup_s`; the last set-up is measured.
+//! mount. Set-up (servers, mount, staged inputs, warm-up) is timed as
+//! `setup_s`; a discarded warm-up phase and the measured phase follow.
+//! `run.py` runs several of these processes and reports the median of
+//! their values.
 //!
 //! `--trace 0` prints the end-to-end metrics. `--trace 1` measures the
 //! same phase untraced and then again on a traced mount (every
@@ -45,12 +47,8 @@ use workloads::{Meta, Montage, PhaseOut, Random, Stream, Workload};
 /// Caller threads sharing the mount (MTC tasks each wait on their own
 /// I/O, so the loop is closed).
 const CALLERS: usize = 2;
-/// Set-ups per run; `setup_s` is their median.
-const SETUP_REPS: usize = 5;
-/// Measured windows per run; each end-to-end metric is the median of
-/// its per-window values, which keeps a transient stall of the shared
-/// machine from moving it.
-const WINDOWS: usize = 4;
+/// Length of the discarded warm-up phase as a share of the measured one.
+const WARMUP_SHARE: f64 = 0.125;
 /// Spans written to the dump file at most (all are analysed).
 const DUMP_SPANS: usize = 200_000;
 
@@ -60,7 +58,7 @@ const GIB: f64 = (1u64 << 30) as f64;
 struct Args {
     workload: String,
     seed: u64,
-    seconds: u64,
+    seconds: f64,
     trace: bool,
 }
 
@@ -72,15 +70,18 @@ fn parse_args() -> Result<Args, String> {
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        let num = || {
-            value
-                .parse::<u64>()
-                .map_err(|e| format!("{flag} {value}: {e}"))
-        };
+        let bad = |e: &dyn std::fmt::Display| format!("{flag} {value}: {e}");
+        let num = || value.parse::<u64>().map_err(|e| bad(&e));
         match flag.as_str() {
             "--workload" => workload = Some(value.clone()),
             "--seed" => seed = Some(num()?),
-            "--seconds" => seconds = Some(num()?.max(1)),
+            "--seconds" => {
+                let s = value.parse::<f64>().map_err(|e| bad(&e))?;
+                if !(s > 0.0 && s.is_finite()) {
+                    return Err(bad(&"must be positive"));
+                }
+                seconds = Some(s);
+            }
             "--trace" => trace = num()? != 0,
             _ => return Err(format!("unknown argument {flag}")),
         }
@@ -88,7 +89,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         workload: workload.ok_or("--workload is required")?,
         seed: seed.unwrap_or(1),
-        seconds: seconds.unwrap_or(16),
+        seconds: seconds.unwrap_or(5.0),
         trace,
     })
 }
@@ -98,6 +99,7 @@ struct Measured {
     out: PhaseOut,
     wall_s: f64,
     cpu_s: f64,
+    minor_faults: u64,
     /// Per thread group (see [`procfs::GROUPS`]): usage and thread count.
     groups: Vec<(&'static str, Usage, usize)>,
 }
@@ -180,15 +182,18 @@ fn measure<W: Workload>(
 ) -> Measured {
     let before = TaskSample::take();
     let cpu0 = procfs::process_cpu_s();
+    let faults0 = procfs::process_minor_faults();
     let start = Instant::now();
     let out = w.phase(fs, seed, states, start + length, tracer);
     let wall_s = start.elapsed().as_secs_f64();
     let cpu_s = procfs::process_cpu_s() - cpu0;
+    let minor_faults = procfs::process_minor_faults() - faults0;
     let after = TaskSample::take();
     Measured {
         out,
         wall_s,
         cpu_s,
+        minor_faults,
         groups: after.groups_since(&before),
     }
 }
@@ -244,9 +249,9 @@ fn per(num: f64, den: f64) -> f64 {
     }
 }
 
-/// Every metric one window yields: the end-to-end ones (0 where the
-/// window had no such work) followed by the workload-specific ones.
-fn window_metrics(m: &Measured) -> Metrics {
+/// Every metric the measured phase yields: the end-to-end ones (0 where
+/// the phase had no such work) followed by the workload-specific ones.
+fn phase_metrics(m: &Measured) -> Metrics {
     let mut e = Metrics::default();
     e.add("ops_per_s", m.ops() as f64 / m.wall_s, "1/s");
     e.add(
@@ -311,47 +316,27 @@ const E2E: [&str; 5] = [
 /// End-to-end metrics every workload reports besides [`E2E`].
 const REPORTED: [&str; 3] = ["write_MiBps", "read_at_tail_us", "rss_peak_MiB"];
 
-/// The end-to-end metrics (identical names on every workload), each the
-/// median over the measured windows, and the workload-specific report
-/// lines named in `report`.
+/// The end-to-end metrics (identical names on every workload) of the
+/// measured phase, and the workload-specific report lines named in
+/// `report`.
 fn end_to_end(
-    windows: &[Measured],
-    setup_s: &[f64],
-    setup_recs: &[Vec<Rec>],
+    m: &Measured,
+    setup_s: f64,
+    setup_recs: &[Rec],
     report: &[&str],
 ) -> (Metrics, Metrics) {
-    let per_window: Vec<Metrics> = windows.iter().map(window_metrics).collect();
     let mut all = Metrics::default();
-    all.note(
-        "setup_s",
-        median(setup_s),
-        "s",
-        format!("median of {} set-ups", setup_s.len()),
-    );
-    for (i, first) in per_window[0].0.iter().enumerate() {
-        let values: Vec<f64> = per_window.iter().map(|w| w.0[i].value).collect();
-        let mut note = format!("median of {} windows", values.len());
-        if !first.note.is_empty() {
-            let _ = write!(note, "; {} in the first", first.note);
-        }
-        all.note(first.name.clone(), median(&values), first.unit, note);
-    }
-    let written: u64 = windows.iter().map(|m| m.sum(|r| r.bytes_written)).sum();
-    if written == 0 {
+    all.add("setup_s", setup_s, "s");
+    all.0.extend(phase_metrics(m).0);
+    if m.sum(|r| r.bytes_written) == 0 {
         // No writes in the measured loop (random-4k): the pre-write of
-        // the staged files, median over the set-ups.
-        let per_setup: Vec<f64> = setup_recs
-            .iter()
-            .map(|recs| bandwidth(recs, |r| r.bytes_written, |r| r.write_s))
-            .collect();
+        // the staged files.
         let w = all.0.iter_mut().find(|m| m.name == "write_MiBps");
-        let w = w.expect("write_MiBps is a window metric");
-        w.value = median(&per_setup);
-        w.note = format!("staged pre-write, median of {} set-ups", per_setup.len());
+        let w = w.expect("write_MiBps is a phase metric");
+        w.value = bandwidth(setup_recs, |r| r.bytes_written, |r| r.write_s);
+        w.note = "staged pre-write in set-up".to_string();
     }
     all.add("rss_peak_MiB", procfs::rss_peak_mib(), "MiB");
-    let failed: u64 = windows.iter().map(Measured::failed).sum();
-    let ops: u64 = windows.iter().map(Measured::ops).sum();
     let (mut e, mut x) = (Metrics::default(), Metrics::default());
     for name in E2E {
         let i = all
@@ -366,7 +351,11 @@ fn end_to_end(
         .into_iter()
         .filter(|m| REPORTED.contains(&m.name.as_str()) || report.contains(&m.name.as_str()))
         .collect();
-    x.add("failed_ops_ratio", per(failed as f64, ops as f64), "ratio");
+    x.add(
+        "failed_ops_ratio",
+        per(m.failed() as f64, m.ops() as f64),
+        "ratio",
+    );
     (e, x)
 }
 
@@ -665,6 +654,15 @@ fn per_layer(
     let callers = t.group("callers");
     p.add("callers.cpu_s_per_GiB", per(callers.cpu_s, gib), "s/GiB");
 
+    // Pages the process newly touched per MiB moved. On stream-32m this
+    // varies from process to process with the allocator's adaptive
+    // mmap and trim thresholds, and the op rate moves with it.
+    p.add(
+        "process.minor_faults_per_MiB",
+        per(t.minor_faults as f64, t.payload() as f64 / MIB),
+        "count",
+    );
+
     // Tracing overhead: untraced vs traced op rate of the same loop.
     let traced_rate = t.ops() as f64 / t.wall_s;
     p.add(
@@ -693,54 +691,36 @@ struct Outcome {
 }
 
 fn drive<W: Workload>(w: &W, args: &Args) -> std::io::Result<Outcome> {
-    let mut setup_s = Vec::with_capacity(SETUP_REPS);
-    let mut setup_recs: Vec<Vec<Rec>> = Vec::with_capacity(SETUP_REPS);
-    let mut live: Option<Live<W::State>> = None;
-    for _ in 0..SETUP_REPS {
-        drop(live.take());
-        let start = Instant::now();
-        let cluster = Cluster::start()?;
-        let fs = cluster.mount()?;
-        let (states, recs) = w.setup(&fs, args.seed, CALLERS);
-        setup_s.push(start.elapsed().as_secs_f64());
-        setup_recs.push(recs);
-        live = Some(Live {
-            fs,
-            cluster,
-            states,
-        });
-    }
-    let mut live = live.expect("at least one set-up");
+    let start = Instant::now();
+    let cluster = Cluster::start()?;
+    let fs = cluster.mount()?;
+    let (states, setup_recs) = w.setup(&fs, args.seed, CALLERS);
+    let setup_s = start.elapsed().as_secs_f64();
+    let mut live = Live {
+        fs,
+        cluster,
+        states,
+    };
 
-    let window = Duration::from_secs_f64(args.seconds as f64 / WINDOWS as f64);
-    // A half-length window first, discarded: it settles allocator,
-    // socket and cache state the set-ups leave cold.
-    let windows: Vec<Measured> = (0..=WINDOWS)
-        .map(|i| {
-            let length = if i == 0 { window / 2 } else { window };
-            measure(w, &live.fs, args.seed, &mut live.states, length, &None)
-        })
-        .collect();
-    let (warmup, windows) = windows.split_first().expect("at least one window");
-    let (e2e, extra) = end_to_end(windows, &setup_s, &setup_recs, w.report());
-    let untraced_rate = e2e
-        .0
-        .iter()
-        .find(|m| m.name == "ops_per_s")
-        .map_or(0.0, |m| m.value);
+    let length = Duration::from_secs_f64(args.seconds);
+    // A shorter phase first, discarded: it settles allocator, socket and
+    // cache state the set-ups leave cold.
+    let warmup = measure(
+        w,
+        &live.fs,
+        args.seed,
+        &mut live.states,
+        length.mul_f64(WARMUP_SHARE),
+        &None,
+    );
+    let measured = measure(w, &live.fs, args.seed, &mut live.states, length, &None);
+    let (e2e, extra) = end_to_end(&measured, setup_s, &setup_recs, w.report());
+    let untraced_rate = measured.ops() as f64 / measured.wall_s;
 
-    let mut attempted = setup_recs
-        .iter()
-        .flatten()
-        .map(|r| r.attempted)
-        .sum::<u64>();
-    let mut failed = setup_recs.iter().flatten().map(|r| r.failed).sum::<u64>();
-    let mut errors: Vec<String> = setup_recs
-        .iter()
-        .flatten()
-        .flat_map(|r| r.errors.clone())
-        .collect();
-    for m in std::iter::once(warmup).chain(windows) {
+    let mut attempted = setup_recs.iter().map(|r| r.attempted).sum::<u64>();
+    let mut failed = setup_recs.iter().map(|r| r.failed).sum::<u64>();
+    let mut errors: Vec<String> = setup_recs.iter().flat_map(|r| r.errors.clone()).collect();
+    for m in [&warmup, &measured] {
         attempted += m.ops();
         failed += m.failed();
         errors.extend(m.recs().iter().flat_map(|r| r.errors.clone()));
@@ -755,15 +735,12 @@ fn drive<W: Workload>(w: &W, args: &Args) -> std::io::Result<Outcome> {
         args.seconds,
         std::thread::available_parallelism().map_or(0, |n| n.get()),
     );
-    let rates: Vec<String> = windows
-        .iter()
-        .map(|m| format!("{:.0}/s over {:.2} s", m.ops() as f64 / m.wall_s, m.wall_s))
-        .collect();
     let _ = writeln!(
         report,
-        "end-to-end (untraced; warm-up window {:.0}/s discarded; windows: {}):",
+        "end-to-end (untraced; warm-up {:.0}/s over {:.2} s discarded; measured {:.2} s):",
         warmup.ops() as f64 / warmup.wall_s,
-        rates.join(", ")
+        warmup.wall_s,
+        measured.wall_s,
     );
     render(&mut report, &e2e);
     let _ = writeln!(report, "reported only:");
@@ -792,7 +769,7 @@ fn drive<W: Workload>(w: &W, args: &Args) -> std::io::Result<Outcome> {
                 &tfs,
                 args.seed,
                 &mut states,
-                Duration::from_secs(args.seconds),
+                Duration::from_secs_f64(args.seconds),
                 &Some(std::sync::Arc::clone(&tracer)),
             );
             sampler.stop.store(true, Ordering::Relaxed);

@@ -49,14 +49,19 @@ impl Usage {
     }
 }
 
-/// utime + stime in seconds from a `stat` line (fields 14 and 15; the
-/// command name in field 2 may hold spaces, so parse after its `)`).
+/// Field `n` (`n >= 3`, numbered as in proc(5)) of a `stat` line; the
+/// command name in field 2 may hold spaces, so count after its `)`.
+fn stat_field(stat: &str, n: usize) -> Option<u64> {
+    stat[stat.rfind(')')? + 2..]
+        .split_whitespace()
+        .nth(n - 3)?
+        .parse()
+        .ok()
+}
+
+/// utime + stime in seconds from a `stat` line (fields 14 and 15).
 fn stat_cpu_s(stat: &str) -> Option<f64> {
-    let rest = &stat[stat.rfind(')')? + 2..];
-    let mut fields = rest.split_whitespace().skip(11);
-    let utime: u64 = fields.next()?.parse().ok()?;
-    let stime: u64 = fields.next()?.parse().ok()?;
-    Some((utime + stime) as f64 / TICKS_PER_S)
+    Some((stat_field(stat, 14)? + stat_field(stat, 15)?) as f64 / TICKS_PER_S)
 }
 
 fn status_field(status: &str, name: &str) -> Option<u64> {
@@ -91,6 +96,15 @@ pub fn process_cpu_s() -> f64 {
         .ok()
         .and_then(|s| stat_cpu_s(&s))
         .unwrap_or(0.0)
+}
+
+/// Whole-process minor page faults (`stat` field 10): fresh pages the
+/// process touched, most of them memory the allocator newly mapped.
+pub fn process_minor_faults() -> u64 {
+    fs::read_to_string("/proc/self/stat")
+        .ok()
+        .and_then(|s| stat_field(&s, 10))
+        .unwrap_or(0)
 }
 
 /// Peak resident set size (VmHWM) in MiB.
@@ -161,11 +175,13 @@ mod tests {
     fn parses_stat_with_spaces_in_the_name() {
         let line = "123 (a b) S 1 2 3 4 5 6 7 8 9 10 250 50 0 0";
         assert_eq!(stat_cpu_s(line), Some(3.0));
+        assert_eq!(stat_field(line, 10), Some(7));
     }
 
     #[test]
     fn reads_this_thread_and_process() {
         assert!(process_cpu_s() >= 0.0);
+        assert!(process_minor_faults() > 0);
         assert!(rss_peak_mib() > 0.0);
         let sample = TaskSample::take();
         assert!(!sample.0.is_empty());

@@ -8,6 +8,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::Instant;
 
+use bytes::Bytes;
 use memfs_core::{MemFs, ReadHandle};
 use memfs_mtc::workflow::Workflow;
 
@@ -54,6 +55,12 @@ pub trait Workload: Sync {
 /// Create, fill and close `path` with its oracle content.
 fn write_file(rec: &mut Rec, fs: &MemFs, seed: u64, path: &str, size: usize) -> bool {
     let data = content::generate(content::file_key(seed, path), size);
+    write_data(rec, fs, path, data)
+}
+
+/// Create `path`, write `data` to it in one call and close it.
+fn write_data(rec: &mut Rec, fs: &MemFs, path: &str, data: Bytes) -> bool {
+    let size = data.len();
     let start = Instant::now();
     let Some(mut h) = rec.call(Op::Create, path, || fs.create(path)) else {
         return false;
@@ -85,11 +92,11 @@ fn read_range(rec: &mut Rec, h: &ReadHandle, key: u64, offset: u64, buf: &mut [u
 }
 
 /// Open `path` and read it whole in `record`-byte `read_at` calls,
-/// checking its size and every byte.
+/// checking its size and every byte against the content keyed `key`.
 fn read_file(
     rec: &mut Rec,
     fs: &MemFs,
-    seed: u64,
+    key: u64,
     path: &str,
     size: u64,
     buf: &mut Vec<u8>,
@@ -102,7 +109,6 @@ fn read_file(
     rec.check(size_ok, || {
         format!("open {path}: size {} != {size}", h.size())
     });
-    let key = content::file_key(seed, path);
     buf.resize(RECORD, 0);
     let mut ok = size_ok;
     let mut offset = 0u64;
@@ -180,7 +186,14 @@ pub struct StreamState {
     next: u64,
     ns: Namespace,
     buf: Vec<u8>,
+    /// File contents generated in set-up, used in turn, with their keys:
+    /// the loop then spends no caller time or page faults making 32 MiB
+    /// per file, and consecutive files still differ.
+    contents: Vec<(u64, Bytes)>,
 }
+
+/// Distinct contents each `stream-32m` caller cycles through.
+const STREAM_CONTENTS: u64 = 2;
 
 const STREAM_FILE: usize = 32 << 20;
 /// Files per directory before a caller moves to a fresh one, so the
@@ -201,18 +214,19 @@ impl StreamState {
     /// reading in lockstep is the envelope's write-then-read shape, and
     /// keeps each bandwidth from depending on how the callers' phases
     /// happened to overlap.
-    fn cycle(&mut self, rec: &mut Rec, fs: &MemFs, seed: u64, sync: &Barrier) {
+    fn cycle(&mut self, rec: &mut Rec, fs: &MemFs, sync: &Barrier) {
         if self.next.is_multiple_of(STREAM_FILES_PER_DIR) {
             let dir = self.dir();
             mkdir(rec, fs, &mut self.ns, &dir);
         }
         let path = format!("{}/f{}", self.dir(), self.next);
+        let (key, data) = self.contents[(self.next % STREAM_CONTENTS) as usize].clone();
         self.next += 1;
-        let written = write_file(rec, fs, seed, &path, STREAM_FILE);
+        let written = write_data(rec, fs, &path, data);
         sync.wait();
         if written {
             self.ns.add_file(&path, STREAM_FILE as u64);
-            read_file(rec, fs, seed, &path, STREAM_FILE as u64, &mut self.buf);
+            read_file(rec, fs, key, &path, STREAM_FILE as u64, &mut self.buf);
         }
         unlink(rec, fs, &mut self.ns, &path);
     }
@@ -235,6 +249,12 @@ impl Workload for Stream {
             next: 0,
             ns: Namespace::default(),
             buf: Vec::new(),
+            contents: (0..STREAM_CONTENTS)
+                .map(|i| {
+                    let key = content::file_key(seed, &format!("/stream/c{caller}/content{i}"));
+                    (key, content::generate(key, STREAM_FILE))
+                })
+                .collect(),
         };
         let sync = Barrier::new(callers);
         setup_callers(fs, "/stream", callers, make, |rec, s| {
@@ -242,14 +262,14 @@ impl Workload for Stream {
             mkdir(rec, fs, &mut s.ns, &dir);
             // Warm-up: one file each, so first-touch of store memory is
             // paid in set-up.
-            s.cycle(rec, fs, seed, &sync);
+            s.cycle(rec, fs, &sync);
         })
     }
 
     fn phase(
         &self,
         fs: &MemFs,
-        seed: u64,
+        _seed: u64,
         states: &mut [StreamState],
         deadline: Instant,
         tracer: &Option<Arc<Tracer>>,
@@ -265,7 +285,7 @@ impl Workload for Stream {
             if !go.load(Ordering::SeqCst) {
                 break;
             }
-            s.cycle(rec, fs, seed, &sync);
+            s.cycle(rec, fs, &sync);
         });
         PhaseOut {
             recs,
@@ -314,7 +334,8 @@ impl MetaState {
         self.next += 1;
         if write_file(rec, fs, seed, &path, META_FILE) {
             self.ns.add_file(&path, META_FILE as u64);
-            read_file(rec, fs, seed, &path, META_FILE as u64, &mut self.buf);
+            let key = content::file_key(seed, &path);
+            read_file(rec, fs, key, &path, META_FILE as u64, &mut self.buf);
             if let Some(st) = rec.call(Op::Stat, &path, || fs.stat(&path)) {
                 let ok = Some(st.size) == self.ns.size(&path) && st.finalized;
                 rec.check(ok, || format!("stat {path}: {st:?}"));
@@ -524,7 +545,8 @@ impl Montage {
         let task = &self.wf.tasks[t];
         for f in &task.inputs {
             let size = self.wf.files[f.0].size;
-            read_file(rec, fs, seed, &self.path(r, f.0), size, buf);
+            let path = self.path(r, f.0);
+            read_file(rec, fs, content::file_key(seed, &path), &path, size, buf);
         }
         for f in &task.outputs {
             let size = self.wf.files[f.0].size as usize;
