@@ -10,8 +10,8 @@
 //!
 //! * `sequential` — `io_parallelism = 1`, the pre-fan-out dispatcher that
 //!   visits per-server batches one at a time;
-//! * `parallel` — `io_parallelism = 0` (auto: one dispatcher worker per
-//!   server), every per-server batch on the wire simultaneously.
+//! * `parallel` — `io_parallelism = 0` (auto: full fan-out), every
+//!   per-server batch on the wire simultaneously.
 //!
 //! The acceptance bar for this PR is parallel read ≥ 2.5x sequential at
 //! 4 servers; `scripts/bench_record.sh` records the same comparison to

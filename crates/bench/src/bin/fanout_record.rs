@@ -5,7 +5,7 @@
 //! (gigabit-Ethernet-like: 200 µs RTT, 117 MB/s per server), an 8 MiB
 //! striped file is written and read with `io_parallelism = 1` (sequential
 //! per-server dispatch) and `io_parallelism = 0` (auto fan-out through the
-//! mount's shared engine). On a transfer-dominated link the fan-out
+//! pool's submit window). On a transfer-dominated link the fan-out
 //! aggregates the per-server bandwidths, which is exactly the paper's
 //! symmetry claim. Bars: at 4 servers, parallel read bandwidth ≥ 2.5x
 //! and parallel write bandwidth ≥ 2x sequential.

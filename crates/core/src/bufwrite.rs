@@ -197,11 +197,11 @@ impl WriteBuffer {
     }
 
     /// Hand the pending batch to the shared engine as one drain job. The
-    /// job issues one pipelined `set_many` per owning server — the pool
-    /// fans those per-server batches (including replica copies) out in
-    /// parallel on the same engine (the nested fan-out the helping wait
-    /// exists for), so a batch of `b` stripes costs one *concurrent*
-    /// round trip per server rather than `b` sequential round trips.
+    /// job issues one `set_many`, which the pool's submit window splits
+    /// into one pipelined batch per owning server (replica copies
+    /// included) and puts on the wire together from the job's own
+    /// thread, so a batch of `b` stripes costs one *concurrent* round
+    /// trip per server rather than `b` sequential round trips.
     fn submit_batch(&mut self) -> MemFsResult<()> {
         if self.batch.is_empty() {
             return Ok(());

@@ -63,9 +63,8 @@ pub struct MemFsConfig {
     pub reactor_threads: usize,
     /// How many per-server batches a fan-out keeps on the wire at once
     /// (paper §3.2.2: symmetrical striping drives all N servers at once).
-    /// Evented transports treat this as an in-flight submit budget on the
-    /// calling thread; blocking transports as a dispatcher worker count.
-    /// `0` means auto — full fan-out, every server busy concurrently;
+    /// It is the in-flight budget of the pool's submit window on the
+    /// calling thread; no worker threads are involved. `0` means auto — full fan-out, every server busy concurrently;
     /// `1` forces sequential per-server dispatch (a bench baseline).
     pub io_parallelism: usize,
     /// Key distribution scheme.
@@ -177,27 +176,19 @@ impl MemFsConfig {
         (self.write_buffer_size / self.stripe_size).max(1)
     }
 
-    /// Workers in the mount's shared I/O engine when it serves
-    /// `n_servers` backends: enough for one full per-server fan-out plus
-    /// the background drain/prefetch jobs that issue those fan-outs.
-    /// Bounded by the config, not by how many files are open.
-    pub fn engine_threads(&self, n_servers: usize) -> usize {
-        let fanout_width = if self.io_parallelism == 1 || n_servers <= 1 {
-            0
-        } else if self.io_parallelism == 0 {
-            n_servers
-        } else {
-            self.io_parallelism
-        };
-        let background_width = self
-            .writer_threads
+    /// Workers in the mount's shared I/O engine: the background width
+    /// for drain and prefetch jobs, `max(writer_threads,
+    /// prefetch_threads)`. Per-server fan-out runs on the calling thread
+    /// and takes no workers. Bounded by the config, not by how many files
+    /// are open.
+    pub fn engine_threads(&self) -> usize {
+        self.writer_threads
             .max(if self.prefetch_window > 0 {
                 self.prefetch_threads
             } else {
                 0
             })
-            .max(1);
-        fanout_width + background_width
+            .max(1)
     }
 
     /// Max stripes the read cache may hold.
@@ -307,7 +298,7 @@ mod tests {
         assert_eq!(c.write_batch_stripes, 8);
         assert_eq!(c.pool_connections, 4);
         assert_eq!(c.reactor_threads, 1, "one shared reactor per mount");
-        assert_eq!(c.io_parallelism, 0, "auto: one dispatcher per server");
+        assert_eq!(c.io_parallelism, 0, "auto: every server in flight");
         assert_eq!(c.repair_interval_ms, 0, "repair daemon opt-in");
         assert_eq!(c.repair_bandwidth, 0, "repair bandwidth unlimited");
         assert_eq!(c.migrate_bandwidth, 0, "migration bandwidth unlimited");
@@ -332,21 +323,19 @@ mod tests {
     }
 
     #[test]
-    fn engine_threads_covers_fanout_plus_background() {
-        let c = MemFsConfig::default(); // writers 2, prefetchers 4, auto fan-out
-        assert_eq!(c.engine_threads(4), 4 + 4);
-        assert_eq!(c.engine_threads(1), 4, "single server: no fan-out slots");
-        let seq = MemFsConfig::default().with_io_parallelism(1);
-        assert_eq!(
-            seq.engine_threads(8),
-            4,
-            "sequential dispatch: background only"
-        );
-        let fixed = MemFsConfig::default().with_io_parallelism(3);
-        assert_eq!(fixed.engine_threads(8), 3 + 4);
+    fn engine_threads_is_background_width_only() {
+        let c = MemFsConfig::default(); // writers 2, prefetchers 4
+        assert_eq!(c.engine_threads(), 4);
+        for width in [0, 1, 3] {
+            assert_eq!(
+                c.clone().with_io_parallelism(width).engine_threads(),
+                4,
+                "fan-out width takes no engine workers"
+            );
+        }
         let mut nopf = MemFsConfig::default().without_prefetch();
         nopf.prefetch_threads = 0;
-        assert_eq!(nopf.engine_threads(2), 2 + 2, "writers only in background");
+        assert_eq!(nopf.engine_threads(), 2, "writers only");
     }
 
     #[test]

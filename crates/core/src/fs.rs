@@ -2,10 +2,11 @@
 //! role of paper §3.1.3), with write-once / read-many semantics (§3.2.3).
 //!
 //! Each [`MemFs`] value corresponds to one mountpoint: it owns a single
-//! shared [`IoEngine`] — one dispatcher whose workers serve the
-//! per-server fan-out, the write drains, and the prefetchers of *every*
-//! file opened through the mount, so the thread count is bounded by the
-//! config rather than by how many files are open.
+//! shared [`IoEngine`] whose workers run the write drains and the
+//! prefetchers of *every* file opened through the mount, so the thread
+//! count is bounded by the config rather than by how many files are open.
+//! Per-server fan-out needs no threads: the pool's submit window puts
+//! every server's batch on the wire from the calling thread.
 //! Creating several `MemFs` values over the same server list
 //! reproduces the paper's multi-mountpoint deployment (the fix for the
 //! FUSE NUMA-spinlock bottleneck of Figure 10) — placement is a pure
@@ -81,19 +82,14 @@ struct Inner {
     net: Option<NetContext>,
 }
 
-/// Stripe keys freed per `delete_many` round during unlink — bounds the
-/// per-round allocation while still amortizing round trips.
-const UNLINK_BATCH: usize = 1024;
+/// Stripe keys per unlink `delete_many` — bounds the per-call allocation.
+/// The submit window puts every server's share on the wire at once, so
+/// freeing a deep file pays one round-trip latency per this many stripes.
+const UNLINK_BATCH: usize = 4096;
 
-/// Probe width when unlinking a never-finalized file: one batch of this
-/// many stripe keys per round until a round deletes nothing.
+/// Probe width when unlinking a never-finalized file: probing stops at
+/// the first round of this many stripe keys that deletes nothing.
 const PROBE_BATCH: usize = 64;
-
-/// Unlink rounds kept in flight at once: [`UNLINK_BATCH`]-keyed
-/// `delete_many` rounds overlap on the engine so freeing a deep file
-/// pays one round-trip latency per `UNLINK_PIPELINE` rounds, not per
-/// round.
-const UNLINK_PIPELINE: usize = 4;
 
 fn stripe_key_bytes(path: &str, stripe: u64) -> Bytes {
     Bytes::from(KeySchema::stripe_key(path, stripe))
@@ -122,24 +118,14 @@ impl MemFs {
         if let Err(msg) = config.validate() {
             return Err(MemFsError::InvalidPath(format!("config: {msg}")));
         }
-        // One engine for the whole mount: its workers run the drain and
-        // prefetch jobs, plus the per-server fan-out batches when the
-        // clients are blocking (nested submission is deadlock-free —
-        // waiters help, see [`IoEngine`]). Evented clients fan out on the
-        // caller's thread under the `io_parallelism` budget instead, so
-        // the engine is sized for background jobs only.
-        let n = servers.len();
-        let evented = n > 1 && servers.iter().all(|c| c.supports_submit());
-        let engine = Arc::new(IoEngine::new(
-            config.engine_threads(if evented { 1 } else { n }),
-            "memfs-io",
-        ));
-        let fanout = !evented && config.io_parallelism != 1 && n > 1;
-        let pool = Arc::new(ServerPool::with_engine(
+        // One engine for the whole mount runs the drain and prefetch
+        // jobs; the pool fans out on the calling thread under the
+        // `io_parallelism` budget and needs no workers of its own.
+        let engine = Arc::new(IoEngine::new(config.engine_threads(), "memfs-io"));
+        let pool = Arc::new(ServerPool::with_options(
             servers,
             config.distributor,
             config.replication,
-            fanout.then(|| Arc::clone(&engine)),
             config.io_parallelism,
         ));
         Self::mount(pool, config, engine, net)
@@ -185,23 +171,6 @@ impl MemFs {
                 pool_config,
             }),
         )
-    }
-
-    /// Mount over an existing [`ServerPool`] (lets several mounts share
-    /// routing state, and lets tests inject custom pools). The mount's
-    /// background jobs run on the pool's dispatcher when it has one, so
-    /// pool-sharing mounts also share one engine.
-    pub fn with_pool(pool: Arc<ServerPool>, config: MemFsConfig) -> MemFsResult<MemFs> {
-        if let Err(msg) = config.validate() {
-            return Err(MemFsError::InvalidPath(format!("config: {msg}")));
-        }
-        let engine = match pool.engine() {
-            Some(e) => Arc::clone(e),
-            // Sequential pool: background jobs still need somewhere to
-            // run; size for them alone (no fan-out slots).
-            None => Arc::new(IoEngine::new(config.engine_threads(1), "memfs-io")),
-        };
-        Self::mount(pool, config, engine, None)
     }
 
     fn repair_config(config: &MemFsConfig) -> RepairConfig {
@@ -558,8 +527,8 @@ impl MemFs {
     /// additionally reclaim the stripes so runtime memory is reusable).
     ///
     /// Stripes are freed through batched [`ServerPool::delete_many`]
-    /// rounds — one pipelined multi-delete per server, fanned out on the
-    /// mount's shared engine — instead of one round trip per stripe.
+    /// calls — one pipelined multi-delete per server, all servers on the
+    /// wire at once — instead of one round trip per stripe.
     ///
     /// A file whose size record is still open (its writer crashed or the
     /// handle leaked before `close`) is unlinked too: the stripes it
@@ -594,42 +563,19 @@ impl MemFs {
         Ok(())
     }
 
-    /// Free `keys` in bounded [`ServerPool::delete_many`] rounds. Both
-    /// outcomes per key are fine (`true` deleted, `false` already gone);
-    /// a storage error aborts so the size record stays behind as the
-    /// marker that stripes may remain.
+    /// Free `keys` in bounded [`ServerPool::delete_many`] calls of
+    /// [`UNLINK_BATCH`] keys. Both outcomes per key are fine (`true`
+    /// deleted, `false` already gone); a storage error aborts so the size
+    /// record stays behind as the marker that stripes may remain.
     fn delete_stripe_batch(&self, keys: &[Bytes]) -> MemFsResult<()> {
-        let first_err = |results: Vec<MemFsResult<bool>>| results.into_iter().find_map(|r| r.err());
-        let chunks: Vec<&[Bytes]> = keys.chunks(UNLINK_BATCH).collect();
-        // Rounds overlap in waves of UNLINK_PIPELINE: the engine runs all
-        // but the last chunk of a wave while the caller's thread runs
-        // that one, so a deep file's delete rounds pay overlapping
-        // round-trip latencies instead of strictly sequential ones.
-        for wave in chunks.chunks(UNLINK_PIPELINE) {
-            let (&inline_chunk, spawned) = wave.split_last().expect("chunks are non-empty");
-            let shared: Arc<std::sync::Mutex<Option<MemFsError>>> =
-                Arc::new(std::sync::Mutex::new(None));
-            let tg = self.inner.engine.group(spawned.len());
-            for &chunk in spawned {
-                let chunk: Vec<Bytes> = chunk.to_vec();
-                let pool = Arc::clone(&self.inner.pool);
-                let shared = Arc::clone(&shared);
-                let tg = Arc::clone(&tg);
-                self.inner.engine.execute(move || {
-                    if let Some(e) = pool.delete_many(&chunk).into_iter().find_map(|r| r.err()) {
-                        shared.lock().expect("unlink errs lock").get_or_insert(e);
-                    }
-                    tg.done();
-                });
-            }
-            let inline_err = first_err(self.inner.pool.delete_many(inline_chunk));
-            tg.wait();
-            let err = shared
-                .lock()
-                .expect("unlink errs lock")
-                .take()
-                .or(inline_err);
-            if let Some(e) = err {
+        for chunk in keys.chunks(UNLINK_BATCH) {
+            if let Some(e) = self
+                .inner
+                .pool
+                .delete_many(chunk)
+                .into_iter()
+                .find_map(|r| r.err())
+            {
                 return Err(e);
             }
         }
@@ -638,77 +584,32 @@ impl MemFs {
 
     /// Free the stripes of a never-finalized file. Its true length is
     /// unknown (only the crashed writer knew), but stripes are written
-    /// sequentially, so probe forward in batches until a whole batch
-    /// reports nothing deleted.
+    /// sequentially, so probe forward in rounds of [`PROBE_BATCH`] keys
+    /// until a whole round reports nothing deleted.
     ///
-    /// Rounds are speculatively pipelined at depth 2: while round `r` is
-    /// being decided, round `r + 1` is already on the wire (on the
-    /// engine). If `r` turns out to be the last round, the speculative
-    /// deletes beyond the end are harmless no-ops — deleting an absent
-    /// stripe is `Ok(false)` — so half the round-trip latencies vanish
-    /// from the zombie-free path without changing its outcome.
+    /// Rounds go out two at a time in one `delete_many`: while round `r`
+    /// is being decided, round `r + 1` is already on the wire. If `r`
+    /// turns out to be the last round, the speculative deletes beyond the
+    /// end are harmless no-ops — deleting an absent stripe is `Ok(false)`
+    /// — so half the round-trip latencies vanish without changing the
+    /// outcome.
     fn probe_delete_stripes(&self, p: &str) -> MemFsResult<()> {
-        type RoundResult = Arc<std::sync::Mutex<Option<MemFsResult<bool>>>>;
-        let spawn_round = |next: u64| -> (Arc<crate::threadpool::TaskGroup>, RoundResult) {
-            let keys: Vec<Bytes> = (next..next + PROBE_BATCH as u64)
+        let mut next = 0u64;
+        loop {
+            let keys: Vec<Bytes> = (next..next + 2 * PROBE_BATCH as u64)
                 .map(|s| stripe_key_bytes(p, s))
                 .collect();
-            let out: RoundResult = Arc::new(std::sync::Mutex::new(None));
-            let tg = self.inner.engine.group(1);
-            let pool = Arc::clone(&self.inner.pool);
-            let job_out = Arc::clone(&out);
-            let job_tg = Arc::clone(&tg);
-            self.inner.engine.execute(move || {
-                let mut result: MemFsResult<bool> = Ok(false);
-                for res in pool.delete_many(&keys) {
-                    match res {
-                        Ok(deleted) => {
-                            if let Ok(any) = result.as_mut() {
-                                *any |= deleted;
-                            }
-                        }
-                        Err(e) => {
-                            result = Err(e);
-                            break;
-                        }
-                    }
+            let mut results = self.inner.pool.delete_many(&keys).into_iter();
+            for _round in 0..2 {
+                let mut any = false;
+                for r in results.by_ref().take(PROBE_BATCH) {
+                    any |= r?;
                 }
-                *job_out.lock().expect("probe round lock") = Some(result);
-                job_tg.done();
-            });
-            (tg, out)
-        };
-        let mut current = spawn_round(0);
-        let mut next = PROBE_BATCH as u64;
-        loop {
-            let speculative = spawn_round(next);
-            current.0.wait();
-            let any = current
-                .1
-                .lock()
-                .expect("probe round lock")
-                .take()
-                .expect("round completed");
-            // Always settle the speculative round too — even on error or
-            // completion — so no job outlives the unlink call.
-            let settle = |(tg, out): (Arc<crate::threadpool::TaskGroup>, RoundResult)| {
-                tg.wait();
-                out.lock().expect("probe round lock").take()
-            };
-            match any {
-                Err(e) => {
-                    let _ = settle(speculative);
-                    return Err(e);
-                }
-                Ok(false) => {
-                    let _ = settle(speculative);
+                if !any {
                     return Ok(());
                 }
-                Ok(true) => {
-                    current = speculative;
-                    next += PROBE_BATCH as u64;
-                }
             }
+            next += 2 * PROBE_BATCH as u64;
         }
     }
 
@@ -1184,9 +1085,10 @@ mod tests {
     }
 
     #[test]
-    fn mount_shares_one_engine_with_its_pool() {
-        // Blocking (non-submit-capable) clients: the pool fans out on the
-        // mount's engine, and both must share one dispatcher.
+    fn blocking_clients_round_trip_and_unlink_through_the_window() {
+        // A client without a split submit path: its eager `start_*`
+        // defaults run each per-server batch to completion, one after
+        // another, through the same window every other client uses.
         struct Opaque(LocalClient);
         impl KvClient for Opaque {
             fn set(&self, key: &[u8], value: Bytes) -> memfs_memkv::error::KvResult<()> {
@@ -1204,44 +1106,47 @@ mod tests {
             fn delete(&self, key: &[u8]) -> memfs_memkv::error::KvResult<()> {
                 self.0.delete(key)
             }
-            // supports_submit stays at the default `false`.
         }
-        let servers: Vec<Arc<dyn KvClient>> = (0..4)
-            .map(|_| {
-                Arc::new(Opaque(LocalClient::new(Arc::new(Store::new(
-                    StoreConfig::default(),
-                ))))) as Arc<dyn KvClient>
-            })
+        let stores: Vec<Arc<Store>> = (0..4)
+            .map(|_| Arc::new(Store::new(StoreConfig::default())))
             .collect();
-        let fs = MemFs::new(servers, MemFsConfig::default()).unwrap();
-        let pool_engine = fs.pool().engine().expect("fan-out pool has an engine");
+        let servers: Vec<Arc<dyn KvClient>> = stores
+            .iter()
+            .map(|s| Arc::new(Opaque(LocalClient::new(Arc::clone(s)))) as Arc<dyn KvClient>)
+            .collect();
+        let config = MemFsConfig {
+            stripe_size: 128,
+            write_buffer_size: 1024,
+            read_cache_size: 1024,
+            ..MemFsConfig::default()
+        };
+        let fs = MemFs::new(servers, config).unwrap();
+        // 40 stripes: every server holds several.
+        let data: Vec<u8> = (0..5000u32).map(|i| (i * 7 % 251) as u8).collect();
+        fs.write_file("/blocking.bin", &data).unwrap();
+        assert_eq!(fs.read_to_vec("/blocking.bin").unwrap(), data);
+        fs.unlink("/blocking.bin").unwrap();
+        assert!(!fs.exists("/blocking.bin").unwrap());
+        let leftover: u64 = stores.iter().map(|s| s.bytes_used()).sum();
         assert!(
-            Arc::ptr_eq(pool_engine, fs.engine()),
-            "pool dispatch and mount background jobs must share one engine"
+            leftover < 128,
+            "stripes not reclaimed: {leftover} bytes left"
         );
+    }
 
-        // Submit-capable clients fan out on the caller's thread under the
-        // io_parallelism budget: the pool needs no engine at all and the
-        // mount's engine is sized for background jobs only.
-        let evented = mount(4);
-        assert!(evented.pool().engine().is_none());
-        assert_eq!(
-            evented.engine().size(),
-            evented.config().engine_threads(1),
-            "evented mount engine sized for background jobs only"
-        );
-
-        // Sequential mounts skip pool fan-out but still run background
-        // drains and prefetches on a mount-owned engine.
-        let seq = mount_with(
-            2,
-            MemFsConfig {
-                io_parallelism: 1,
-                ..MemFsConfig::default()
-            },
-        );
-        assert!(seq.pool().engine().is_none());
-        assert!(seq.engine().size() >= 1);
+    #[test]
+    fn mount_engine_is_sized_by_engine_threads() {
+        for (n_servers, config) in [
+            (4, MemFsConfig::default()),
+            (1, MemFsConfig::default()),
+            (4, MemFsConfig::default().with_io_parallelism(1)),
+            (4, MemFsConfig::default().with_io_parallelism(3)),
+            (2, MemFsConfig::default().with_threads(3, 1)),
+        ] {
+            let fs = mount_with(n_servers, config.clone());
+            assert_eq!(fs.engine().size(), config.engine_threads());
+            assert!(fs.pool().engine().is_none(), "the pool owns no engine");
+        }
     }
 
     #[test]

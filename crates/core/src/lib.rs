@@ -18,10 +18,10 @@
 //!   storage server via [`memfs_hashring`];
 //! * [`layout::StripeLayout`] — the striping mechanism (default 512 KiB
 //!   stripes, the paper's measured optimum);
-//! * [`threadpool::IoEngine`] — one dispatcher per mount shared by the
-//!   per-server fan-out, every file's write drain, and every file's
-//!   prefetcher, so thread count is bounded by the config rather than by
-//!   the number of open files;
+//! * [`threadpool::IoEngine`] — one worker pool per mount shared by every
+//!   file's write drain and every file's prefetcher, so thread count is
+//!   bounded by the config rather than by the number of open files (the
+//!   pool's per-server fan-out runs on the calling thread);
 //! * [`bufwrite`] — the write-buffering protocol: an 8 MiB per-file buffer
 //!   drained asynchronously through the shared engine; `close()`/`flush()`
 //!   block until it is empty;
@@ -77,4 +77,4 @@ pub use fs::{DirEntry, EntryKind, FileStat, MemFs, ReadHandle, WriteHandle};
 pub use mover::{migrate_pass, MembershipMonitor, MigrateConfig, MigrationReport};
 pub use pool::{DegradedWrite, PoolStats, ServerIoSnapshot, ServerPool, WriteOutcome};
 pub use repair::{repair_pass, RepairConfig, RepairDaemon, RepairReport};
-pub use threadpool::{IoEngine, TaskGroup};
+pub use threadpool::IoEngine;

@@ -5,11 +5,12 @@
 //! same server list and distributor agree on placement — that is what lets
 //! any compute node read any file without coordination.
 //!
-//! Batched operations fan their per-server batches out **concurrently**
-//! through a dispatcher thread pool (paper §3.2.2: symmetrical striping
-//! means every file operation should drive all N servers at once, using
-//! the full bisection bandwidth). A `get_many` window therefore costs
-//! `max(server RTT)`, not `sum(server RTTs)`.
+//! Batched operations put their per-server batches on the wire
+//! **concurrently** through one submit window on the caller's thread
+//! (paper §3.2.2: symmetrical striping means every file operation should
+//! drive all N servers at once, using the full bisection bandwidth). A
+//! `get_many` window therefore costs `max(server RTT)`, not
+//! `sum(server RTTs)`.
 //!
 //! ## Elastic membership
 //!
@@ -42,14 +43,15 @@ use crate::config::DistributorKind;
 use crate::error::{MemFsError, MemFsResult};
 use crate::threadpool::IoEngine;
 
-/// One server's share of a keyed batch: the original key indices paired
-/// with the keys themselves, kept together through the submit window so
-/// completions can write results back in input order.
-type KeyedBatch = (Vec<usize>, Vec<Bytes>);
+/// One server's share of a keyed batch: the original input indices paired
+/// with the entries themselves (keys, or key/value pairs), kept together
+/// through the submit window so completions can write results back in
+/// input order.
+type Keyed<T> = (Vec<usize>, Vec<T>);
 
-/// One server's share of a keyed `set_many`: original item indices paired
-/// with the (key, value) entries themselves.
-type KeyedItems = (Vec<usize>, Vec<(Bytes, Bytes)>);
+/// One submit-window slot: the server, its batch, the in-flight
+/// completion, and the gauge guard that counts it until settled.
+type WindowSlot<T, R> = (usize, Keyed<T>, Deferred<R>, InFlightGuard);
 
 /// Per-server I/O counters, updated by every batched dispatch.
 ///
@@ -240,8 +242,6 @@ pub(crate) struct RingState {
     pub(crate) members: Vec<usize>,
     /// The ring the current membership routes by.
     pub(crate) current: Arc<dyn Distributor>,
-    /// Every routable client has a split submit/completion path.
-    pub(crate) submit_capable: bool,
     pub(crate) transition: Option<TransitionState>,
     /// Bumped on every membership snapshot swap.
     pub(crate) version: u64,
@@ -385,9 +385,9 @@ impl KvClient for RetiredClient {
     }
 }
 
-/// The shareable routing state: everything a dispatcher job needs, behind
-/// one `Arc` so per-server closures are `'static` without cloning clients
-/// or the ring.
+/// The routing state: the live ring snapshot, the stats and the repair
+/// hand-off queue, plus the gate that separates migration phase flips
+/// from in-flight operations.
 struct PoolCore {
     /// The live routing snapshot; swapped whole on membership changes.
     ring: RwLock<Arc<RingState>>,
@@ -507,24 +507,9 @@ impl PoolCore {
         self.get_failover(state, key, Some(failed), err)
     }
 
-    /// One server's share of a `get_many`: a single batched multi-get,
-    /// with per-key replica-chain fallback on transport failure. Runs on
-    /// dispatcher workers; must never re-enter a pool-level batch op.
-    fn fetch_group(
-        &self,
-        state: &RingState,
-        server: usize,
-        batch: &[Bytes],
-    ) -> Vec<MemFsResult<Bytes>> {
-        let io = self.stats.io(server);
-        let _in_flight = io.track(batch.len());
-        let result = state.clients[server].get_many(batch);
-        self.finish_fetch(state, server, batch, result)
-    }
-
-    /// Resolve one server's multi-get replies against the replica chain —
-    /// the completion half shared by the engine path ([`fetch_group`]
-    /// above) and the evented submit-window path.
+    /// Resolve one server's multi-get replies against the replica chain:
+    /// per-key fallback on transport failure, through direct client
+    /// calls that never re-enter a pool-level batch op.
     fn finish_fetch(
         &self,
         state: &RingState,
@@ -559,32 +544,6 @@ impl PoolCore {
                 .collect(),
         }
     }
-
-    /// One server's share of a `set_many`: a single pipelined batch,
-    /// mapped to per-key outcomes (`None` stored, `Some` failed) so the
-    /// cross-replica aggregate can tell degraded from lost writes.
-    fn store_group(
-        &self,
-        state: &RingState,
-        server: usize,
-        batch: &[(Bytes, Bytes)],
-    ) -> Vec<Option<MemFsError>> {
-        let io = self.stats.io(server);
-        let _in_flight = io.track(batch.len());
-        let result = state.clients[server].set_many(batch);
-        finish_store(batch.len(), result)
-    }
-
-    /// One server's share of a `delete_many`: a single pipelined batch of
-    /// deletes. (The transport already replays idempotent batches once on
-    /// a dropped connection; a batch that still fails maps its error onto
-    /// every key so the cross-replica aggregate can absorb it.)
-    fn erase_group(&self, state: &RingState, server: usize, batch: &[Bytes]) -> Vec<Erase> {
-        let io = self.stats.io(server);
-        let _in_flight = io.track(batch.len());
-        let result = state.clients[server].delete_many(batch);
-        finish_erase(batch.len(), result)
-    }
 }
 
 /// Map one server's `set_many` replies to per-key outcomes: `None` for a
@@ -601,6 +560,9 @@ fn finish_store(batch_len: usize, result: KvResult<Vec<KvResult<()>>>) -> Vec<Op
 }
 
 /// Map one server's `delete_many` replies to per-key [`Erase`] outcomes.
+/// (The transport already replays idempotent batches once on a dropped
+/// connection; a batch that still fails maps its error onto every key so
+/// the cross-replica aggregate can absorb it.)
 fn finish_erase(batch_len: usize, result: KvResult<Vec<KvResult<()>>>) -> Vec<Erase> {
     let map = |r: Result<(), KvError>| match r {
         Ok(()) => Erase::Deleted,
@@ -701,7 +663,7 @@ impl StoreAgg {
 }
 
 /// A hash-routed pool of storage servers with optional n-way replication
-/// and a concurrent per-server dispatcher for batched operations.
+/// and a concurrent per-server submit window for batched operations.
 ///
 /// Replication is the fault-tolerance mechanism the paper sketches but
 /// defers ("assuming the replication factor is n, then the total storage
@@ -723,23 +685,15 @@ impl StoreAgg {
 /// converges; applications needing ordered replicated appends should keep
 /// `replication = 1`.
 pub struct ServerPool {
-    core: Arc<PoolCore>,
-    /// Per-server fan-out engine; `None` means sequential dispatch
-    /// (`io_parallelism` resolved to 1, or a single server). Usually the
-    /// mount's shared [`IoEngine`] (see [`ServerPool::with_engine`]), so
-    /// fan-out, prefetch, and drains all ride one bounded worker set.
-    /// Unused for batched fan-out when every client has an evented submit
-    /// path (see [`RingState::submit_capable`]).
-    engine: Option<Arc<IoEngine>>,
-    /// In-flight batch budget for the submit-window path, resolved from
-    /// `io_parallelism` (`0` → unlimited). Fan-out width is governed by
-    /// this budget, not by worker count.
+    core: PoolCore,
+    /// In-flight batch budget of the submit window, resolved from
+    /// `io_parallelism` (`0` → unlimited, `1` → sequential).
     budget: usize,
 }
 
 impl ServerPool {
     /// Build a pool over `clients` with the configured distributor, no
-    /// replication, and the default fan-out (one worker per server).
+    /// replication, and the default fan-out (every server in flight).
     ///
     /// # Panics
     /// Panics on an empty client list.
@@ -767,9 +721,10 @@ impl ServerPool {
     /// sequential per-server dispatch (the PR 1 behaviour, useful as a
     /// bench baseline).
     ///
-    /// For evented clients the cap is an in-flight submit budget on the
-    /// caller's thread; for blocking clients it is a dispatcher worker
-    /// count (resolved to one worker per server when `0`).
+    /// The cap is the in-flight budget of the submit window on the
+    /// caller's thread ([`KvClient::start_get_many`] and siblings); the
+    /// pool spawns no threads. A blocking client's eager `start_*`
+    /// default simply runs its batches one after another.
     ///
     /// # Panics
     /// Panics on an empty client list or an invalid replication factor.
@@ -777,37 +732,6 @@ impl ServerPool {
         clients: Vec<Arc<dyn KvClient>>,
         kind: DistributorKind,
         replication: usize,
-        io_parallelism: usize,
-    ) -> Self {
-        let workers = if io_parallelism == 0 {
-            clients.len()
-        } else {
-            io_parallelism
-        };
-        // One server (or parallelism forced to 1) has nothing to overlap,
-        // and evented clients overlap without workers: in both cases skip
-        // the worker threads entirely.
-        let submit_capable = clients.iter().all(|c| c.supports_submit());
-        let engine = (!submit_capable && workers > 1 && clients.len() > 1)
-            .then(|| Arc::new(IoEngine::new(workers, "pool-io")));
-        Self::with_engine(clients, kind, replication, engine, io_parallelism)
-    }
-
-    /// Build a pool that dispatches its per-server batches on an existing
-    /// shared [`IoEngine`] instead of spawning its own workers — the
-    /// per-mount shape: one engine serves the pool fan-out *and* every
-    /// open file's prefetch and drain jobs. `None` means sequential
-    /// inline dispatch. `io_parallelism` is the in-flight batch budget
-    /// used instead of the engine when every client is evented (`0` =
-    /// unlimited).
-    ///
-    /// # Panics
-    /// Panics on an empty client list or an invalid replication factor.
-    pub fn with_engine(
-        clients: Vec<Arc<dyn KvClient>>,
-        kind: DistributorKind,
-        replication: usize,
-        engine: Option<Arc<IoEngine>>,
         io_parallelism: usize,
     ) -> Self {
         assert!(!clients.is_empty(), "server pool needs at least one server");
@@ -820,7 +744,6 @@ impl ServerPool {
         let current = ring_for(&kind, &members, clients.len())
             .expect("contiguous initial membership is always supported");
         let stats = PoolStats::new(clients.len());
-        let submit_capable = clients.len() > 1 && clients.iter().all(|c| c.supports_submit());
         let budget = if io_parallelism == 0 {
             usize::MAX
         } else {
@@ -830,11 +753,10 @@ impl ServerPool {
             clients,
             members,
             current,
-            submit_capable,
             transition: None,
             version: 0,
         });
-        let core = Arc::new(PoolCore {
+        let core = PoolCore {
             ring: RwLock::new(state),
             kind,
             replication,
@@ -842,17 +764,15 @@ impl ServerPool {
             degraded: Mutex::new(VecDeque::new()),
             gate: GenGate::default(),
             migration: Mutex::new(()),
-        });
-        ServerPool {
-            core,
-            engine,
-            budget,
-        }
+        };
+        ServerPool { core, budget }
     }
 
-    /// The engine this pool dispatches on, if fan-out is enabled.
+    /// Always `None`: the pool owns no engine and dispatches every batch
+    /// through its submit window. Kept only because the benchmark under
+    /// `perfbench/` still asserts on it.
     pub fn engine(&self) -> Option<&Arc<IoEngine>> {
-        self.engine.as_ref()
+        None
     }
 
     /// The configured replication factor.
@@ -860,17 +780,11 @@ impl ServerPool {
         self.core.replication
     }
 
-    /// Effective dispatcher width: how many per-server batches can be on
-    /// the wire simultaneously. Evented pools report the in-flight submit
-    /// budget (capped at the member count — there is at most one batch
-    /// per server in a fan-out); engine pools report the worker count.
+    /// Effective fan-out width: how many per-server batches can be on
+    /// the wire simultaneously — the in-flight budget, capped at the
+    /// member count (a fan-out holds at most one batch per server).
     pub fn io_parallelism(&self) -> usize {
-        let state = self.core.state();
-        if state.submit_capable && self.budget > 1 {
-            self.budget.min(state.members.len())
-        } else {
-            self.engine.as_ref().map_or(1, |e| e.size())
-        }
+        self.budget.min(self.core.state().members.len())
     }
 
     /// Per-server dispatch counters.
@@ -1035,18 +949,10 @@ impl ServerPool {
         let mut clients = state.clients.clone();
         clients.extend(new_clients);
         self.core.stats.grow_to(clients.len());
-        // During the transition writes dual-route to members ∪ joining:
-        // the submit window is only usable if all of them support it.
-        let submit_capable = target_members.len() > 1
-            && target_members
-                .iter()
-                .chain(state.members.iter())
-                .all(|&m| clients[m].supports_submit());
         *ring = Arc::new(RingState {
             clients,
             members: state.members.clone(),
             current: Arc::clone(&state.current),
-            submit_capable,
             transition: Some(TransitionState {
                 target_members,
                 target,
@@ -1094,7 +1000,6 @@ impl ServerPool {
             clients: state.clients.clone(),
             members: state.members.clone(),
             current: Arc::clone(&state.current),
-            submit_capable: state.submit_capable,
             transition: Some(TransitionState {
                 target_members,
                 target,
@@ -1139,14 +1044,10 @@ impl ServerPool {
         for &l in &t.leaving {
             clients[l] = Arc::new(RetiredClient) as Arc<dyn KvClient>;
         }
-        let members = t.target_members.clone();
-        let submit_capable =
-            members.len() > 1 && members.iter().all(|&m| clients[m].supports_submit());
         *ring = Arc::new(RingState {
             clients,
-            members,
+            members: t.target_members.clone(),
             current: Arc::clone(&t.target),
-            submit_capable,
             transition: None,
             version: state.version + 1,
         });
@@ -1248,102 +1149,36 @@ impl ServerPool {
 
     /// Batched routed `get`: keys are grouped by primary server, each
     /// group travels as **one** [`KvClient::get_many`] call, and the
-    /// groups go out **concurrently** through the dispatcher — a prefetch
-    /// window of `w` stripes over `n` servers costs one parallel round
-    /// trip (`max` of the per-server times), not `n` sequential ones.
-    /// Results come back in input order.
+    /// groups go out **concurrently** through the submit window — a
+    /// prefetch window of `w` stripes over `n` servers costs one parallel
+    /// round trip (`max` of the per-server times), not `n` sequential
+    /// ones. Results come back in input order.
     ///
     /// Fallback mirrors [`ServerPool::get`]: a transport failure (of the
     /// whole batch or a single key) retries that key through the replica
-    /// chain *inside that server's job*, so a dead server degrades only
-    /// its own keys while the healthy servers' batches proceed.
+    /// chain when that server's batch settles, so a dead server degrades
+    /// only its own keys while the healthy servers' batches proceed.
     pub fn get_many(&self, keys: &[Bytes]) -> Vec<MemFsResult<Bytes>> {
         let (_gate, state) = self.core.begin_op();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); state.clients.len()];
+        let mut batches: Vec<Keyed<Bytes>> = vec![(Vec::new(), Vec::new()); state.clients.len()];
         for (i, key) in keys.iter().enumerate() {
-            groups[state.primary(key).0].push(i);
+            let batch = &mut batches[state.primary(key).0];
+            batch.0.push(i);
+            batch.1.push(key.clone());
         }
-        let mut work: Vec<(usize, Vec<usize>)> = groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, group)| !group.is_empty())
-            .collect();
         let mut out: Vec<Option<MemFsResult<Bytes>>> = (0..keys.len()).map(|_| None).collect();
-        if state.submit_capable && self.budget > 1 && work.len() > 1 {
-            // Evented path: every client supports split submit/completion,
-            // so the window keeps up to `budget` servers busy with zero
-            // engine workers.
-            let work: Vec<(usize, KeyedBatch)> = work
-                .into_iter()
-                .map(|(server, group)| {
-                    let batch: Vec<Bytes> = group.iter().map(|&i| keys[i].clone()).collect();
-                    (server, (group, batch))
-                })
-                .collect();
-            self.drive(
-                work,
-                |(_, batch)| batch.len(),
-                |server, (_, batch)| state.clients[server].start_get_many(batch),
-                |server, (group, batch), result| {
-                    for (&i, r) in group
-                        .iter()
-                        .zip(self.core.finish_fetch(&state, server, &batch, result))
-                    {
-                        out[i] = Some(r);
-                    }
-                },
-            );
-            return out
-                .into_iter()
-                .map(|r| r.expect("every key grouped exactly once"))
-                .collect();
-        }
-        match &self.engine {
-            Some(engine) if work.len() > 1 => {
-                let shared = Arc::new(Mutex::new(out));
-                // The caller's thread is a worker too: it runs the last
-                // group itself instead of idling on the TaskGroup.
-                let (last_server, last_group) = work.pop().expect("len > 1");
-                let tg = engine.group(work.len());
-                for (server, group) in work {
-                    let batch: Vec<Bytes> = group.iter().map(|&i| keys[i].clone()).collect();
-                    let core = Arc::clone(&self.core);
-                    let state = Arc::clone(&state);
-                    let shared = Arc::clone(&shared);
-                    let tg = Arc::clone(&tg);
-                    engine.execute(move || {
-                        let results = core.fetch_group(&state, server, &batch);
-                        let mut out = shared.lock().expect("fan-out results lock");
-                        for (&i, r) in group.iter().zip(results) {
-                            out[i] = Some(r);
-                        }
-                        drop(out);
-                        tg.done();
-                    });
-                }
-                let batch: Vec<Bytes> = last_group.iter().map(|&i| keys[i].clone()).collect();
-                let results = self.core.fetch_group(&state, last_server, &batch);
+        self.drive(
+            batches,
+            |server, batch| state.clients[server].start_get_many(batch),
+            |server, idx, batch, result| {
+                for (&i, r) in idx
+                    .iter()
+                    .zip(self.core.finish_fetch(&state, server, batch, result))
                 {
-                    let mut out = shared.lock().expect("fan-out results lock");
-                    for (&i, r) in last_group.iter().zip(results) {
-                        out[i] = Some(r);
-                    }
+                    out[i] = Some(r);
                 }
-                tg.wait();
-                out = std::mem::take(&mut *shared.lock().expect("fan-out results lock"));
-            }
-            _ => {
-                for (server, group) in work {
-                    let batch: Vec<Bytes> = group.iter().map(|&i| keys[i].clone()).collect();
-                    for (&i, r) in group
-                        .iter()
-                        .zip(self.core.fetch_group(&state, server, &batch))
-                    {
-                        out[i] = Some(r);
-                    }
-                }
-            }
-        }
+            },
+        );
         out.into_iter()
             .map(|r| r.expect("every key grouped exactly once"))
             .collect()
@@ -1377,73 +1212,24 @@ impl ServerPool {
         // With replication, each item lands on `r` ring-successor servers
         // — build one batch per *target* server across all replicas; each
         // entry remembers which input item it resolves.
-        let mut batches: Vec<KeyedItems> = vec![(Vec::new(), Vec::new()); state.clients.len()];
+        let mut batches: Vec<Keyed<(Bytes, Bytes)>> =
+            vec![(Vec::new(), Vec::new()); state.clients.len()];
         for (i, (key, value)) in items.iter().enumerate() {
             for id in state.route(key, self.core.replication) {
                 batches[id.0].0.push(i);
                 batches[id.0].1.push((key.clone(), value.clone()));
             }
         }
-        let mut work: Vec<(usize, KeyedItems)> = batches
-            .into_iter()
-            .enumerate()
-            .filter(|(_, (idx, _))| !idx.is_empty())
-            .collect();
         let mut agg: Vec<StoreAgg> = (0..items.len()).map(|_| StoreAgg::default()).collect();
-        if state.submit_capable && self.budget > 1 && work.len() > 1 {
-            self.drive(
-                work,
-                |(_, batch): &KeyedItems| batch.len(),
-                |server, (_, batch)| state.clients[server].start_set_many(batch),
-                |server, (idx, batch), result| {
-                    for (&i, o) in idx.iter().zip(finish_store(batch.len(), result)) {
-                        agg[i].merge(server, o);
-                    }
-                },
-            );
-            return self.settle_writes(items, agg);
-        }
-        match &self.engine {
-            Some(engine) if work.len() > 1 => {
-                let shared = Arc::new(Mutex::new(agg));
-                let (last_server, (last_idx, last_batch)) = work.pop().expect("len > 1");
-                let tg = engine.group(work.len());
-                for (server, (idx, batch)) in work {
-                    let core = Arc::clone(&self.core);
-                    let state = Arc::clone(&state);
-                    let shared = Arc::clone(&shared);
-                    let tg = Arc::clone(&tg);
-                    engine.execute(move || {
-                        let outcomes = core.store_group(&state, server, &batch);
-                        let mut agg = shared.lock().expect("fan-out store lock");
-                        for (&i, o) in idx.iter().zip(outcomes) {
-                            agg[i].merge(server, o);
-                        }
-                        drop(agg);
-                        tg.done();
-                    });
+        self.drive(
+            batches,
+            |server, batch| state.clients[server].start_set_many(batch),
+            |server, idx, batch, result| {
+                for (&i, o) in idx.iter().zip(finish_store(batch.len(), result)) {
+                    agg[i].merge(server, o);
                 }
-                let outcomes = self.core.store_group(&state, last_server, &last_batch);
-                {
-                    let mut agg = shared.lock().expect("fan-out store lock");
-                    for (&i, o) in last_idx.iter().zip(outcomes) {
-                        agg[i].merge(last_server, o);
-                    }
-                }
-                tg.wait();
-                agg = std::mem::take(&mut *shared.lock().expect("fan-out store lock"));
-            }
-            _ => {
-                for (server, (idx, batch)) in work {
-                    for (&i, o) in idx
-                        .iter()
-                        .zip(self.core.store_group(&state, server, &batch))
-                    {
-                        agg[i].merge(server, o);
-                    }
-                }
-            }
-        }
+            },
+        );
         self.settle_writes(items, agg)
     }
 
@@ -1500,8 +1286,8 @@ impl ServerPool {
     /// Batched routed `delete`: keys are grouped per replica-holding
     /// server, each group travels as one pipelined
     /// [`KvClient::delete_many`] call, and the groups go out concurrently
-    /// through the engine — freeing a striped file costs one parallel
-    /// round trip per chunk instead of one round trip per stripe.
+    /// through the submit window — freeing a striped file costs one
+    /// parallel round trip per call instead of one round trip per stripe.
     ///
     /// Per-key semantics match [`ServerPool::delete_quiet`]: `Ok(true)` if
     /// any replica deleted the key, `Ok(false)` if every live replica
@@ -1509,80 +1295,24 @@ impl ServerPool {
     pub fn delete_many(&self, keys: &[Bytes]) -> Vec<MemFsResult<bool>> {
         let (_gate, state) = self.core.begin_op();
         // One batch per *target* server across all replicas; each entry
-        // remembers which input key it resolves (parallel index/key vecs).
-        let mut batches: Vec<(Vec<usize>, Vec<Bytes>)> =
-            vec![(Vec::new(), Vec::new()); state.clients.len()];
+        // remembers which input key it resolves.
+        let mut batches: Vec<Keyed<Bytes>> = vec![(Vec::new(), Vec::new()); state.clients.len()];
         for (i, key) in keys.iter().enumerate() {
             for id in state.route(key, self.core.replication) {
                 batches[id.0].0.push(i);
                 batches[id.0].1.push(key.clone());
             }
         }
-        let mut work: Vec<(usize, Vec<usize>, Vec<Bytes>)> = batches
-            .into_iter()
-            .enumerate()
-            .filter(|(_, (idx, _))| !idx.is_empty())
-            .map(|(server, (idx, batch))| (server, idx, batch))
-            .collect();
         let mut agg: Vec<EraseAgg> = (0..keys.len()).map(|_| EraseAgg::default()).collect();
-        if state.submit_capable && self.budget > 1 && work.len() > 1 {
-            let work: Vec<(usize, KeyedBatch)> = work
-                .into_iter()
-                .map(|(server, idx, batch)| (server, (idx, batch)))
-                .collect();
-            self.drive(
-                work,
-                |(_, batch)| batch.len(),
-                |server, (_, batch)| state.clients[server].start_delete_many(batch),
-                |_, (idx, batch), result| {
-                    for (&i, o) in idx.iter().zip(finish_erase(batch.len(), result)) {
-                        agg[i].merge(o);
-                    }
-                },
-            );
-            return agg.into_iter().map(EraseAgg::resolve).collect();
-        }
-        match &self.engine {
-            Some(engine) if work.len() > 1 => {
-                let shared = Arc::new(Mutex::new(agg));
-                let (last_server, last_idx, last_batch) = work.pop().expect("len > 1");
-                let tg = engine.group(work.len());
-                for (server, idx, batch) in work {
-                    let core = Arc::clone(&self.core);
-                    let state = Arc::clone(&state);
-                    let shared = Arc::clone(&shared);
-                    let tg = Arc::clone(&tg);
-                    engine.execute(move || {
-                        let outcomes = core.erase_group(&state, server, &batch);
-                        let mut agg = shared.lock().expect("fan-out erase lock");
-                        for (&i, o) in idx.iter().zip(outcomes) {
-                            agg[i].merge(o);
-                        }
-                        drop(agg);
-                        tg.done();
-                    });
+        self.drive(
+            batches,
+            |server, batch| state.clients[server].start_delete_many(batch),
+            |_, idx, batch, result| {
+                for (&i, o) in idx.iter().zip(finish_erase(batch.len(), result)) {
+                    agg[i].merge(o);
                 }
-                let outcomes = self.core.erase_group(&state, last_server, &last_batch);
-                {
-                    let mut agg = shared.lock().expect("fan-out erase lock");
-                    for (&i, o) in last_idx.iter().zip(outcomes) {
-                        agg[i].merge(o);
-                    }
-                }
-                tg.wait();
-                agg = std::mem::take(&mut *shared.lock().expect("fan-out erase lock"));
-            }
-            _ => {
-                for (server, idx, batch) in work {
-                    for (&i, o) in idx
-                        .iter()
-                        .zip(self.core.erase_group(&state, server, &batch))
-                    {
-                        agg[i].merge(o);
-                    }
-                }
-            }
-        }
+            },
+        );
         agg.into_iter().map(EraseAgg::resolve).collect()
     }
 
@@ -1595,43 +1325,49 @@ impl ServerPool {
             .any(|id| state.client(id).contains(key))
     }
 
-    /// Evented fan-out: submit per-server batches until `budget` are in
-    /// flight, then settle completed ones as slots are needed, refilling
-    /// the window as each frees. Submission is non-blocking (the shared
-    /// reactor owns the sockets), so the whole window is on the wire
-    /// concurrently while this — the only caller-side thread the fan-out
-    /// occupies — waits on one completion at a time. Completions are
-    /// settled in *arrival* order ([`Deferred::is_ready`]): the shared
-    /// reactor delivers them in cross-server batches as they land
-    /// anywhere in the cluster, so a slow server never blocks the window
-    /// behind its submission position — only the slot it actually holds.
-    fn drive<B, T>(
+    /// The one way a batch leaves the pool. `batches` holds one entry per
+    /// server slot (empty ones are skipped): submit per-server batches
+    /// until `budget` are in flight, then settle completed ones as slots
+    /// are needed, refilling the window as each frees. Submission is
+    /// non-blocking for evented clients (the shared reactor owns the
+    /// sockets), so the whole window is on the wire concurrently while
+    /// this — the only caller-side thread the fan-out occupies — waits on
+    /// one completion at a time. Completions are settled in *arrival*
+    /// order ([`Deferred::is_ready`]): the shared reactor delivers them in
+    /// cross-server batches as they land anywhere in the cluster, so a
+    /// slow server never blocks the window behind its submission
+    /// position — only the slot it actually holds. Budget 1 is the
+    /// sequential baseline: each batch settles before the next is sent.
+    fn drive<T, R>(
         &self,
-        work: Vec<(usize, B)>,
-        nkeys: impl Fn(&B) -> usize,
-        start: impl Fn(usize, &B) -> Deferred<T>,
-        mut finish: impl FnMut(usize, B, KvResult<Vec<KvResult<T>>>),
+        batches: Vec<Keyed<T>>,
+        start: impl Fn(usize, &[T]) -> Deferred<R>,
+        mut finish: impl FnMut(usize, &[usize], &[T], KvResult<Vec<KvResult<R>>>),
     ) {
-        let mut window: VecDeque<(usize, B, Deferred<T>, InFlightGuard)> = VecDeque::new();
-        let mut settle_one = |window: &mut VecDeque<(usize, B, Deferred<T>, InFlightGuard)>| {
+        let mut window: VecDeque<WindowSlot<T, R>> = VecDeque::new();
+        let mut settle_one = |window: &mut VecDeque<WindowSlot<T, R>>| {
             // Prefer a batch whose completion already landed; block on
             // the oldest only when none is ready yet.
             let pos = window
                 .iter()
                 .position(|(_, _, deferred, _)| deferred.is_ready())
                 .unwrap_or(0);
-            let (server, batch, deferred, guard) = window.remove(pos).expect("window filled");
+            let (server, (idx, batch), deferred, guard) =
+                window.remove(pos).expect("window filled");
             let result = deferred.wait();
             drop(guard);
-            finish(server, batch, result);
+            finish(server, &idx, &batch, result);
         };
-        for (server, batch) in work {
+        for (server, (idx, batch)) in batches.into_iter().enumerate() {
+            if idx.is_empty() {
+                continue;
+            }
             while window.len() >= self.budget {
                 settle_one(&mut window);
             }
-            let guard = self.core.stats.io(server).track(nkeys(&batch));
+            let guard = self.core.stats.io(server).track(batch.len());
             let deferred = start(server, &batch);
-            window.push_back((server, batch, deferred, guard));
+            window.push_back((server, (idx, batch), deferred, guard));
         }
         while !window.is_empty() {
             settle_one(&mut window);
@@ -1983,13 +1719,13 @@ mod tests {
                 })
                 .collect()
         };
-        // Auto: one worker per server.
+        // Auto: every member in flight.
         let p = ServerPool::with_options(clients(4), DistributorKind::default(), 1, 0);
         assert_eq!(p.io_parallelism(), 4);
         // Explicit width.
         let p = ServerPool::with_options(clients(4), DistributorKind::default(), 1, 2);
         assert_eq!(p.io_parallelism(), 2);
-        // Forced sequential: no dispatcher.
+        // Forced sequential: a window of one.
         let p = ServerPool::with_options(clients(4), DistributorKind::default(), 1, 1);
         assert_eq!(p.io_parallelism(), 1);
         // Single server: nothing to overlap.
@@ -2034,9 +1770,6 @@ mod tests {
         }
         fn delete(&self, key: &[u8]) -> memfs_memkv::error::KvResult<()> {
             self.inner.delete(key)
-        }
-        fn supports_submit(&self) -> bool {
-            true
         }
         fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
             self.begin(self.inner.get_many(keys))
@@ -2084,10 +1817,6 @@ mod tests {
 
         // Budget 2: never more than two batches in flight, for every op.
         let (p, in_flight, max) = probe_pool(6, 2);
-        assert!(
-            p.engine().is_none(),
-            "submit-capable pool must not spawn dispatcher workers"
-        );
         assert_eq!(p.io_parallelism(), 2);
         p.set_many(&items).unwrap();
         for r in p.get_many(&keys) {
@@ -2099,12 +1828,41 @@ mod tests {
         assert_eq!(max.load(Ordering::SeqCst), 2, "window must fill to budget");
         assert_eq!(in_flight.load(Ordering::SeqCst), 0, "window must drain");
 
-        // Budget 0 (auto): full fan-out, all six servers in flight at once.
+        // Budget 0 (auto): full fan-out, all six servers in flight at
+        // once, for every op.
         let (p, in_flight, max) = probe_pool(6, 0);
         assert_eq!(p.io_parallelism(), 6);
         p.set_many(&items).unwrap();
         assert_eq!(max.load(Ordering::SeqCst), 6);
         assert_eq!(in_flight.load(Ordering::SeqCst), 0);
+        max.store(0, Ordering::SeqCst);
+        for r in p.get_many(&keys) {
+            r.unwrap();
+        }
+        assert_eq!(max.load(Ordering::SeqCst), 6, "get_many fans out fully");
+        assert_eq!(in_flight.load(Ordering::SeqCst), 0);
+        max.store(0, Ordering::SeqCst);
+        for r in p.delete_many(&keys) {
+            assert!(r.unwrap());
+        }
+        assert_eq!(max.load(Ordering::SeqCst), 6, "delete_many fans out fully");
+        assert_eq!(in_flight.load(Ordering::SeqCst), 0);
+
+        // One server: every batch is a window of one.
+        let (p, in_flight, max) = probe_pool(1, 0);
+        assert_eq!(p.io_parallelism(), 1);
+        p.set_many(&items).unwrap();
+        for r in p.get_many(&keys) {
+            r.unwrap();
+        }
+        for r in p.delete_many(&keys) {
+            assert!(r.unwrap());
+        }
+        assert_eq!(max.load(Ordering::SeqCst), 1);
+        assert_eq!(in_flight.load(Ordering::SeqCst), 0);
+        let snap = p.stats().snapshot();
+        assert_eq!(snap[0].max_in_flight, 1);
+        assert_eq!(snap[0].in_flight, 0, "gauge must settle to zero");
     }
 
     fn failable_pool(

@@ -1,9 +1,8 @@
 //! The tentpole property of the shared I/O engine: a mount's thread
 //! count is set by its config, not by how many files are open. Before
-//! the shared engine, every `ServerPool` fan-out spun its own dispatcher
-//! workers and every mount its own writer/prefetcher pools, so I/O
-//! thread count grew with mounts; per-file engines would have been worse
-//! still. This binary holds exactly one test on purpose — it counts
+//! the shared engine, every mount ran its own writer/prefetcher pools,
+//! so I/O thread count grew with mounts; per-file engines would have
+//! been worse still. This binary holds exactly one test on purpose — it counts
 //! process-wide threads by name, which would race with parallel tests.
 
 #![cfg(target_os = "linux")]
@@ -58,9 +57,9 @@ fn thirty_two_open_files_share_one_bounded_dispatcher() {
     assert_eq!(io_threads(), 0, "no engine threads before the mount");
 
     let fs = MemFs::new(servers, config.clone()).unwrap();
-    // Local clients are submit-capable, so the fan-out rides the caller
-    // thread and the engine is sized for background jobs only.
-    let expected = config.engine_threads(1);
+    // The fan-out rides the caller's thread, so the engine is sized for
+    // background (drain and prefetch) jobs only.
+    let expected = config.engine_threads();
     assert_eq!(fs.engine().size(), expected);
     expect_io_threads(expected, "mounting starts the one engine");
 

@@ -15,7 +15,9 @@ use bytes::Bytes;
 use memfs_core::{DistributorKind, MemFs, MemFsConfig, MemFsError, ServerPool};
 use memfs_memkv::client::Shaping;
 use memfs_memkv::error::{KvError, KvResult};
-use memfs_memkv::{FailableClient, KvClient, LocalClient, Store, StoreConfig, ThrottledClient};
+use memfs_memkv::{
+    Deferred, FailableClient, KvClient, LocalClient, Store, StoreConfig, ThrottledClient,
+};
 
 fn local_clients(n: usize) -> (Vec<Arc<dyn KvClient>>, Vec<Arc<Store>>) {
     let stores: Vec<Arc<Store>> = (0..n)
@@ -39,7 +41,11 @@ fn stripe_like_keys(n: usize) -> Vec<Bytes> {
 fn get_many_preserves_input_order_under_concurrency() {
     let (clients, _stores) = local_clients(4);
     let pool = ServerPool::new(clients, DistributorKind::default());
-    assert_eq!(pool.io_parallelism(), 4, "auto fan-out: one worker/server");
+    assert_eq!(
+        pool.io_parallelism(),
+        4,
+        "auto fan-out: every server in flight"
+    );
 
     let keys = stripe_like_keys(128);
     let items: Vec<(Bytes, Bytes)> = keys
@@ -206,15 +212,17 @@ fn set_many_reports_dead_server_but_stores_the_rest() {
     }
 }
 
-/// A client that waits inside `get_many` until every participant has
-/// entered, proving the per-server batches are on the wire simultaneously.
-/// A sequential dispatcher would never reach the rendezvous and each call
-/// would time out, tripping the assertion.
+/// A client whose batches meet at a rendezvous on the split path: each
+/// `start_*` arrives, and the returned [`Deferred::Pending`] blocks until
+/// every participant has arrived, proving the per-server batches are in
+/// flight simultaneously. A window that waited on one batch before
+/// submitting the next would never reach the rendezvous; each wait would
+/// time out, tripping the assertion.
 struct RendezvousClient {
     inner: LocalClient,
     arrived: Arc<(Mutex<usize>, Condvar)>,
     expected: usize,
-    full_house: AtomicBool,
+    full_house: Arc<AtomicBool>,
 }
 
 impl RendezvousClient {
@@ -223,24 +231,31 @@ impl RendezvousClient {
             inner: LocalClient::new(store),
             arrived,
             expected,
-            full_house: AtomicBool::new(false),
+            full_house: Arc::new(AtomicBool::new(false)),
         }
     }
 
-    fn rendezvous(&self) {
-        let (lock, cv) = &*self.arrived;
-        let mut n = lock.lock().unwrap();
-        *n += 1;
-        cv.notify_all();
-        let deadline = Duration::from_secs(5);
-        while *n < self.expected {
-            let (guard, timeout) = cv.wait_timeout(n, deadline).unwrap();
-            n = guard;
-            if timeout.timed_out() {
-                return; // full_house stays false => assertion fires
+    /// Arrive now; the completion waits for the other participants.
+    fn rendezvous<T: Send + 'static>(&self, result: KvResult<Vec<KvResult<T>>>) -> Deferred<T> {
+        let arrived = Arc::clone(&self.arrived);
+        *arrived.0.lock().unwrap() += 1;
+        arrived.1.notify_all();
+        let expected = self.expected;
+        let full_house = Arc::clone(&self.full_house);
+        Deferred::Pending(Box::new(move || {
+            let (lock, cv) = &*arrived;
+            let mut n = lock.lock().unwrap();
+            let deadline = Duration::from_secs(5);
+            while *n < expected {
+                let (guard, timeout) = cv.wait_timeout(n, deadline).unwrap();
+                n = guard;
+                if timeout.timed_out() {
+                    return result; // full_house stays false => assertion fires
+                }
             }
-        }
-        self.full_house.store(true, Ordering::SeqCst);
+            full_house.store(true, Ordering::SeqCst);
+            result
+        }))
     }
 }
 
@@ -266,17 +281,14 @@ impl KvClient for RendezvousClient {
     fn contains(&self, key: &[u8]) -> bool {
         self.inner.contains(key)
     }
-    fn get_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<Bytes>>> {
-        self.rendezvous();
-        self.inner.get_many(keys)
+    fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
+        self.rendezvous(self.inner.get_many(keys))
     }
-    fn set_many(&self, items: &[(Bytes, Bytes)]) -> KvResult<Vec<KvResult<()>>> {
-        self.rendezvous();
-        self.inner.set_many(items)
+    fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
+        self.rendezvous(self.inner.set_many(items))
     }
-    fn delete_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<()>>> {
-        self.rendezvous();
-        self.inner.delete_many(keys)
+    fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
+        self.rendezvous(self.inner.delete_many(keys))
     }
 }
 
@@ -484,7 +496,7 @@ fn drop_joins_dispatch_workers_without_losing_stripes() {
         let mut w = fs.create("/fanout/drop.dat").unwrap();
         w.write_all(&data).unwrap();
         w.close().unwrap();
-        drop(fs); // joins writer, prefetcher and dispatcher threads
+        drop(fs); // drains and joins the engine's drain/prefetch workers
     }
 
     let fs = MemFs::new(shaped(&stores), config).unwrap();

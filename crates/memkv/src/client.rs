@@ -120,7 +120,7 @@ pub trait KvClient: Send + Sync {
     /// batches are assembled by reference-count bumps, never key copies.
     ///
     /// The default loops over [`KvClient::get`]; batching transports
-    /// override it ([`LocalClient`] dispatches one engine batch,
+    /// override it ([`LocalClient`] calls [`Store::get_many`] once,
     /// [`crate::net::TcpClient`] sends pipelined multi-key `get` frames).
     fn get_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<Bytes>>> {
         Ok(keys.iter().map(|k| self.get(k)).collect())
@@ -150,9 +150,10 @@ pub trait KvClient: Send + Sync {
     }
     /// Whether this client has a true split submit/completion path — i.e.
     /// whether the `start_*` methods return before the network round trip
-    /// finishes. Dispatchers use this to pick between submit-window
-    /// fan-out (one thread, many servers in flight) and thread-pool
-    /// fan-out (one worker per server).
+    /// finishes. Informational only: no library code reads it, because
+    /// the server pool dispatches every client through the same submit
+    /// window (an eager client just gets no overlap). Slated for removal
+    /// once no caller outside the library forwards it.
     fn supports_submit(&self) -> bool {
         false
     }
@@ -246,9 +247,7 @@ impl KvClient for LocalClient {
         self.store.contains(key)
     }
     /// In-process calls complete at memory speed, so the eager `start_*`
-    /// defaults already satisfy the split-submit contract: the pool's
-    /// budgeted caller-thread fan-out needs no engine workers for local
-    /// servers.
+    /// defaults already return as soon as a split submit would.
     fn supports_submit(&self) -> bool {
         true
     }
@@ -409,10 +408,9 @@ impl<C: KvClient> KvClient for ThrottledClient<C> {
         self.inner.contains(key)
     }
     /// The shaped batch cost is charged as a submission-time deadline
-    /// (see [`ThrottledClient::shaped_deferred`]), so shaped fan-outs
-    /// ride the pool's budgeted caller-thread path: submit to every
-    /// server, then settle deadlines as they elapse — the Figure-3
-    /// overlap without engine workers.
+    /// (see [`ThrottledClient::shaped_deferred`]), so a fan-out submits
+    /// to every server and then settles the deadlines as they elapse —
+    /// the Figure-3 overlap on one caller thread.
     fn supports_submit(&self) -> bool {
         true
     }
@@ -653,7 +651,7 @@ mod tests {
         assert_eq!(out[0].as_ref().unwrap().as_ref(), b"1");
         assert!(out[1].is_err());
         assert_eq!(out[2].as_ref().unwrap().as_ref(), b"2");
-        // LocalClient routes the batch through the engine's batched path.
+        // LocalClient hands the whole batch to one `Store::get_many`.
         assert_eq!(c.store().stats().snapshot().mget_ops, 1);
     }
 

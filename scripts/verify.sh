@@ -9,7 +9,10 @@
 #
 # Tier-1 (must stay green, see ROADMAP.md): release build + root-package
 # tests. fmt/clippy keep the tree warning-free; clippy runs with -D warnings
-# so new lints fail the gate instead of scrolling by.
+# so new lints fail the gate instead of scrolling by. The benchmark under
+# perfbench/ (its own cargo workspace, built against the library by path)
+# is built and tested too, so a library API change that breaks it fails
+# here rather than in a benchmark run.
 #
 # --threads repeats the fan-out/thread-pool suites with a high test-thread
 # count so the per-server dispatcher, the write drain, and the prefetcher
@@ -61,6 +64,10 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo test --release --offline --manifest-path perfbench/Cargo.toml"
+CARGO_TARGET_DIR=.bench_build/verify \
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 for arg in "$@"; do
     case "$arg" in
