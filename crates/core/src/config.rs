@@ -33,23 +33,16 @@ pub struct MemFsConfig {
     pub write_buffer_size: usize,
     /// Per-open-file read cache in bytes (same 8 MB figure).
     pub read_cache_size: usize,
-    /// Write-drain jobs the mount's shared I/O engine runs concurrently.
-    /// Drain jobs fan their batches out through the same engine, so a
-    /// couple of slots suffice; Figure 3b shows bandwidth saturating well
-    /// before thread counts grow large.
-    pub writer_threads: usize,
-    /// Prefetch jobs the shared engine runs concurrently for readers.
-    pub prefetch_threads: usize,
+    /// Workers in the mount's shared I/O engine: how many write-drain
+    /// and prefetch jobs run concurrently (Figure 3b's "threads" axis).
+    /// Per-server fan-out runs on the calling thread and takes none;
+    /// Figure 3b shows bandwidth saturating well before thread counts
+    /// grow large.
+    pub io_threads: usize,
     /// How many stripes ahead of the read position to prefetch. Bounded
     /// by the read cache; 0 disables prefetching (the "Read (no
     /// prefetching)" series of Figure 3b).
     pub prefetch_window: usize,
-    /// Completed stripes accumulated per background drain job. Each job
-    /// groups its stripes by owning server and issues one pipelined
-    /// `set_many` per server, so larger batches amortize round trips; 1
-    /// reproduces the unbatched per-stripe drain. Values above
-    /// `write_buffer_stripes()` are clamped to the in-flight budget.
-    pub write_batch_stripes: usize,
     /// TCP connections per storage server when mounting over the network
     /// transport (the [`memfs_memkv::PoolConfig::connections`] knob).
     /// In-process mounts ignore it.
@@ -109,10 +102,8 @@ impl Default for MemFsConfig {
             stripe_size: 512 << 10,
             write_buffer_size: 8 << 20,
             read_cache_size: 8 << 20,
-            writer_threads: 2,
-            prefetch_threads: 4,
+            io_threads: 4,
             prefetch_window: 8,
-            write_batch_stripes: 8,
             pool_connections: 4,
             reactor_threads: 1,
             io_parallelism: 0,
@@ -145,11 +136,8 @@ impl MemFsConfig {
                 self.read_cache_size, self.stripe_size
             ));
         }
-        if self.writer_threads == 0 {
-            return Err("writer_threads must be at least 1".into());
-        }
-        if self.prefetch_window > 0 && self.prefetch_threads == 0 {
-            return Err("prefetch_threads must be at least 1 when prefetching".into());
+        if self.io_threads == 0 {
+            return Err("io_threads must be at least 1".into());
         }
         if let DistributorKind::Ketama { points_per_server } = self.distributor {
             if points_per_server == 0 {
@@ -158,9 +146,6 @@ impl MemFsConfig {
         }
         if self.replication == 0 {
             return Err("replication factor must be at least 1".into());
-        }
-        if self.write_batch_stripes == 0 {
-            return Err("write_batch_stripes must be at least 1".into());
         }
         if self.pool_connections == 0 {
             return Err("pool_connections must be at least 1".into());
@@ -176,19 +161,12 @@ impl MemFsConfig {
         (self.write_buffer_size / self.stripe_size).max(1)
     }
 
-    /// Workers in the mount's shared I/O engine: the background width
-    /// for drain and prefetch jobs, `max(writer_threads,
-    /// prefetch_threads)`. Per-server fan-out runs on the calling thread
-    /// and takes no workers. Bounded by the config, not by how many files
-    /// are open.
+    /// Workers in the mount's shared I/O engine: `io_threads`, the
+    /// background width for drain and prefetch jobs. Per-server fan-out
+    /// runs on the calling thread and takes no workers. Bounded by the
+    /// config, not by how many files are open.
     pub fn engine_threads(&self) -> usize {
-        self.writer_threads
-            .max(if self.prefetch_window > 0 {
-                self.prefetch_threads
-            } else {
-                0
-            })
-            .max(1)
+        self.io_threads
     }
 
     /// Max stripes the read cache may hold.
@@ -202,10 +180,9 @@ impl MemFsConfig {
         self
     }
 
-    /// Builder-style setter for thread counts (writers and prefetchers).
-    pub fn with_threads(mut self, writers: usize, prefetchers: usize) -> Self {
-        self.writer_threads = writers;
-        self.prefetch_threads = prefetchers;
+    /// Builder-style setter for the I/O engine width (`io_threads`).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.io_threads = threads;
         self
     }
 
@@ -218,12 +195,6 @@ impl MemFsConfig {
     /// Builder-style setter for the replication factor.
     pub fn with_replication(mut self, r: usize) -> Self {
         self.replication = r;
-        self
-    }
-
-    /// Builder-style setter for the write-drain batch size.
-    pub fn with_write_batch_stripes(mut self, stripes: usize) -> Self {
-        self.write_batch_stripes = stripes;
         self
     }
 
@@ -295,7 +266,7 @@ mod tests {
         assert!(c.validate().is_ok());
         assert_eq!(c.write_buffer_stripes(), 16);
         assert_eq!(c.read_cache_stripes(), 16);
-        assert_eq!(c.write_batch_stripes, 8);
+        assert_eq!(c.io_threads, 4, "four memfs-io workers");
         assert_eq!(c.pool_connections, 4);
         assert_eq!(c.reactor_threads, 1, "one shared reactor per mount");
         assert_eq!(c.io_parallelism, 0, "auto: every server in flight");
@@ -324,7 +295,7 @@ mod tests {
 
     #[test]
     fn engine_threads_is_background_width_only() {
-        let c = MemFsConfig::default(); // writers 2, prefetchers 4
+        let c = MemFsConfig::default();
         assert_eq!(c.engine_threads(), 4);
         for width in [0, 1, 3] {
             assert_eq!(
@@ -333,9 +304,7 @@ mod tests {
                 "fan-out width takes no engine workers"
             );
         }
-        let mut nopf = MemFsConfig::default().without_prefetch();
-        nopf.prefetch_threads = 0;
-        assert_eq!(nopf.engine_threads(), 2, "writers only");
+        assert_eq!(c.with_threads(2).without_prefetch().engine_threads(), 2);
     }
 
     #[test]
@@ -361,7 +330,7 @@ mod tests {
             ..MemFsConfig::default()
         };
         assert!(c.validate().is_err());
-        let c = MemFsConfig::default().with_threads(0, 4);
+        let c = MemFsConfig::default().with_threads(0);
         assert!(c.validate().is_err());
         let c = MemFsConfig {
             distributor: DistributorKind::Ketama {
@@ -370,18 +339,9 @@ mod tests {
             ..MemFsConfig::default()
         };
         assert!(c.validate().is_err());
-        let c = MemFsConfig::default().with_write_batch_stripes(0);
-        assert!(c.validate().is_err());
         let c = MemFsConfig::default().with_pool_connections(0);
         assert!(c.validate().is_err());
         let c = MemFsConfig::default().with_reactor_threads(0);
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn no_prefetch_mode_allows_zero_prefetch_threads() {
-        let mut c = MemFsConfig::default().without_prefetch();
-        c.prefetch_threads = 0;
-        assert!(c.validate().is_ok());
     }
 }

@@ -82,6 +82,12 @@ struct Inner {
     net: Option<NetContext>,
 }
 
+/// Completed stripes accumulated per background write-drain job. Each job
+/// groups its stripes by owning server and issues one pipelined
+/// `set_many` per server, so larger batches amortize round trips; the
+/// write buffer clamps it to its in-flight budget.
+const WRITE_BATCH_STRIPES: usize = 8;
+
 /// Stripe keys per unlink `delete_many` — bounds the per-call allocation.
 /// The submit window puts every server's share on the wire at once, so
 /// freeing a deep file pays one round-trip latency per this many stripes.
@@ -349,7 +355,7 @@ impl MemFs {
             Arc::clone(&self.inner.pool),
             Arc::clone(&self.inner.engine),
             self.inner.config.write_buffer_stripes(),
-            self.inner.config.write_batch_stripes,
+            WRITE_BATCH_STRIPES,
         );
         Ok(WriteHandle {
             fs: self.clone(),
@@ -846,7 +852,7 @@ impl io::Seek for ReadHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memfs_memkv::{LocalClient, Store, StoreConfig};
+    use memfs_memkv::{Deferred, LocalClient, Store, StoreConfig};
 
     fn mount(n_servers: usize) -> MemFs {
         mount_with(
@@ -855,8 +861,7 @@ mod tests {
                 stripe_size: 128,
                 write_buffer_size: 1024,
                 read_cache_size: 1024,
-                writer_threads: 2,
-                prefetch_threads: 2,
+                io_threads: 2,
                 prefetch_window: 4,
                 ..MemFsConfig::default()
             },
@@ -1087,24 +1092,24 @@ mod tests {
     #[test]
     fn blocking_clients_round_trip_and_unlink_through_the_window() {
         // A client without a split submit path: its eager `start_*`
-        // defaults run each per-server batch to completion, one after
+        // calls run each per-server batch to completion, one after
         // another, through the same window every other client uses.
         struct Opaque(LocalClient);
         impl KvClient for Opaque {
-            fn set(&self, key: &[u8], value: Bytes) -> memfs_memkv::error::KvResult<()> {
-                self.0.set(key, value)
+            fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
+                Deferred::Ready(self.0.get_many(keys))
+            }
+            fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
+                Deferred::Ready(self.0.set_many(items))
+            }
+            fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
+                Deferred::Ready(self.0.delete_many(keys))
             }
             fn add(&self, key: &[u8], value: Bytes) -> memfs_memkv::error::KvResult<()> {
                 self.0.add(key, value)
             }
-            fn get(&self, key: &[u8]) -> memfs_memkv::error::KvResult<Bytes> {
-                self.0.get(key)
-            }
             fn append(&self, key: &[u8], suffix: &[u8]) -> memfs_memkv::error::KvResult<()> {
                 self.0.append(key, suffix)
-            }
-            fn delete(&self, key: &[u8]) -> memfs_memkv::error::KvResult<()> {
-                self.0.delete(key)
             }
         }
         let stores: Vec<Arc<Store>> = (0..4)
@@ -1141,7 +1146,7 @@ mod tests {
             (1, MemFsConfig::default()),
             (4, MemFsConfig::default().with_io_parallelism(1)),
             (4, MemFsConfig::default().with_io_parallelism(3)),
-            (2, MemFsConfig::default().with_threads(3, 1)),
+            (2, MemFsConfig::default().with_threads(3)),
         ] {
             let fs = mount_with(n_servers, config.clone());
             assert_eq!(fs.engine().size(), config.engine_threads());

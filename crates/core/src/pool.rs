@@ -365,19 +365,19 @@ fn retired_err() -> KvError {
 }
 
 impl KvClient for RetiredClient {
-    fn set(&self, _key: &[u8], _value: Bytes) -> KvResult<()> {
-        Err(retired_err())
+    fn start_get_many(&self, _keys: &[Bytes]) -> Deferred<Bytes> {
+        Deferred::Ready(Err(retired_err()))
+    }
+    fn start_set_many(&self, _items: &[(Bytes, Bytes)]) -> Deferred<()> {
+        Deferred::Ready(Err(retired_err()))
+    }
+    fn start_delete_many(&self, _keys: &[Bytes]) -> Deferred<()> {
+        Deferred::Ready(Err(retired_err()))
     }
     fn add(&self, _key: &[u8], _value: Bytes) -> KvResult<()> {
         Err(retired_err())
     }
-    fn get(&self, _key: &[u8]) -> KvResult<Bytes> {
-        Err(retired_err())
-    }
     fn append(&self, _key: &[u8], _suffix: &[u8]) -> KvResult<()> {
-        Err(retired_err())
-    }
-    fn delete(&self, _key: &[u8]) -> KvResult<()> {
         Err(retired_err())
     }
     fn health(&self) -> ServerHealth {
@@ -423,88 +423,51 @@ impl PoolCore {
         (gate, state)
     }
 
-    fn get(&self, state: &RingState, key: &[u8]) -> MemFsResult<Bytes> {
-        let (homes, auth) = state.route_with_auth(key, self.replication);
-        let mut last_err: Option<KvError> = None;
-        for (i, id) in homes.iter().enumerate() {
-            match state.client(*id).get(key) {
-                Ok(v) => return Ok(v),
-                Err(e @ KvError::NotFound) => {
-                    if i < auth {
-                        return Err(e.into());
-                    }
-                    // A target-only home during migration: absence only
-                    // means the background copy has not landed yet.
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        match last_err {
-            Some(err) => self.get_failover(state, key, None, err),
-            // Every authoritative home erred... no — every home returned
-            // NotFound and none was authoritative is impossible (auth >=
-            // 1); reaching here without a transport error means the
-            // non-authoritative tail missed after authoritative transport
-            // errors were absent. Surface the miss.
-            None => Err(KvError::NotFound.into()),
-        }
-    }
-
-    /// Every owner failed with a transport error: extend the candidate
-    /// walk past the owner set, where the repair planner parks failover
-    /// copies while owners are down. `NotFound` is not authoritative out
-    /// here — absence on a successor just means repair never placed a
-    /// copy there — so the owners' transport error is what surfaces when
-    /// the whole chain comes up empty.
-    fn get_failover(
+    /// Read `key` through its replica chain, primary first. `failed`
+    /// names a server whose batch already erred, with its error: that
+    /// server is **skipped** — retrying it per key would multiply its
+    /// failure latency by the batch size (fatal when the failure is a
+    /// response timeout).
+    ///
+    /// `NotFound` from an authoritative home is the answer; from a
+    /// target-only home of a migrating range it only means the background
+    /// copy has not landed yet. When the homes yield transport errors
+    /// instead, the walk extends past the owner set, where the repair
+    /// planner parks failover copies while owners are down. `NotFound` is
+    /// not authoritative out there, so the last transport error surfaces
+    /// when the whole chain comes up empty.
+    fn get(
         &self,
         state: &RingState,
         key: &[u8],
-        skip: Option<usize>,
-        err: KvError,
+        failed: Option<(usize, &KvError)>,
     ) -> MemFsResult<Bytes> {
-        let owners = self.replication.min(state.members.len());
-        for id in state.candidates(key).into_iter().skip(owners) {
+        let skip = failed.map(|(server, _)| server);
+        let mut err = failed.map(|(_, e)| e.duplicate());
+        let (homes, auth) = state.route_with_auth(key, self.replication);
+        for (i, id) in homes.iter().enumerate() {
             if Some(id.0) == skip {
                 continue;
             }
-            if let Ok(v) = state.client(id).get(key) {
-                return Ok(v);
+            match state.client(*id).get(key) {
+                Ok(v) => return Ok(v),
+                Err(KvError::NotFound) if i < auth => return Err(KvError::NotFound.into()),
+                Err(KvError::NotFound) => {}
+                Err(e) => err = Some(e),
+            }
+        }
+        let Some(err) = err else {
+            return Err(KvError::NotFound.into());
+        };
+        let owners = self.replication.min(state.members.len());
+        for id in state.candidates(key).into_iter().skip(owners) {
+            if Some(id.0) != skip {
+                if let Ok(v) = state.client(id).get(key) {
+                    return Ok(v);
+                }
             }
         }
         Err(err.into())
-    }
-
-    /// Replica-chain fallback for one key after server `failed` erred with
-    /// `err`. The failed server is **skipped** — retrying it per key would
-    /// multiply its failure latency by the batch size (fatal when the
-    /// failure is a response timeout). Without surviving replicas the
-    /// original error is surfaced.
-    fn get_fallback(
-        &self,
-        state: &RingState,
-        key: &[u8],
-        failed: usize,
-        err: &KvError,
-    ) -> MemFsResult<Bytes> {
-        let (homes, auth) = state.route_with_auth(key, self.replication);
-        let mut last_err: Option<KvError> = None;
-        for (i, id) in homes.iter().enumerate() {
-            if id.0 == failed {
-                continue;
-            }
-            match state.client(*id).get(key) {
-                Ok(v) => return Ok(v),
-                Err(e @ KvError::NotFound) => {
-                    if i < auth {
-                        return Err(e.into());
-                    }
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        let err = last_err.unwrap_or_else(|| err.duplicate());
-        self.get_failover(state, key, Some(failed), err)
     }
 
     /// Resolve one server's multi-get replies against the replica chain:
@@ -528,7 +491,7 @@ impl PoolCore {
                     // Per-key transport/server error: replica chain.
                     Err(e) => {
                         io.bump_fallback();
-                        self.get_fallback(state, key, server, &e)
+                        self.get(state, key, Some((server, &e)))
                     }
                 })
                 .collect(),
@@ -539,7 +502,7 @@ impl PoolCore {
                 .iter()
                 .map(|key| {
                     io.bump_fallback();
-                    self.get_fallback(state, key, server, &e)
+                    self.get(state, key, Some((server, &e)))
                 })
                 .collect(),
         }
@@ -723,8 +686,8 @@ impl ServerPool {
     ///
     /// The cap is the in-flight budget of the submit window on the
     /// caller's thread ([`KvClient::start_get_many`] and siblings); the
-    /// pool spawns no threads. A blocking client's eager `start_*`
-    /// default simply runs its batches one after another.
+    /// pool spawns no threads. A client whose `start_*` completes
+    /// eagerly simply runs its batches one after another.
     ///
     /// # Panics
     /// Panics on an empty client list or an invalid replication factor.
@@ -1135,7 +1098,7 @@ impl ServerPool {
     /// have landed yet).
     pub fn get(&self, key: &[u8]) -> MemFsResult<Bytes> {
         let (_gate, state) = self.core.begin_op();
-        self.core.get(&state, key)
+        self.core.get(&state, key, None)
     }
 
     /// Routed `get` that maps a missing key to `None`.
@@ -1148,7 +1111,7 @@ impl ServerPool {
     }
 
     /// Batched routed `get`: keys are grouped by primary server, each
-    /// group travels as **one** [`KvClient::get_many`] call, and the
+    /// group travels as **one** [`KvClient::start_get_many`] call, and the
     /// groups go out **concurrently** through the submit window — a
     /// prefetch window of `w` stripes over `n` servers costs one parallel
     /// round trip (`max` of the per-server times), not `n` sequential
@@ -1198,7 +1161,7 @@ impl ServerPool {
 
     /// Batched routed `set` with per-key outcomes: items are grouped per
     /// replica-holding server and each group travels as one pipelined
-    /// [`KvClient::set_many`] call, all groups dispatched **concurrently**
+    /// [`KvClient::start_set_many`] call, all groups dispatched **concurrently**
     /// (replica batches to different servers overlap too). Every batch is
     /// always attempted; results come back in input order.
     ///
@@ -1285,7 +1248,7 @@ impl ServerPool {
 
     /// Batched routed `delete`: keys are grouped per replica-holding
     /// server, each group travels as one pipelined
-    /// [`KvClient::delete_many`] call, and the groups go out concurrently
+    /// [`KvClient::start_delete_many`] call, and the groups go out concurrently
     /// through the submit window — freeing a striped file costs one
     /// parallel round trip per call instead of one round trip per stripe.
     ///
@@ -1354,7 +1317,7 @@ impl ServerPool {
                 .unwrap_or(0);
             let (server, (idx, batch), deferred, guard) =
                 window.remove(pos).expect("window filled");
-            let result = deferred.wait();
+            let result = deferred.wait_for(batch.len());
             drop(guard);
             finish(server, &idx, &batch, result);
         };
@@ -1756,20 +1719,11 @@ mod tests {
     }
 
     impl KvClient for SubmitProbe {
-        fn set(&self, key: &[u8], value: Bytes) -> memfs_memkv::error::KvResult<()> {
-            self.inner.set(key, value)
-        }
         fn add(&self, key: &[u8], value: Bytes) -> memfs_memkv::error::KvResult<()> {
             self.inner.add(key, value)
         }
-        fn get(&self, key: &[u8]) -> memfs_memkv::error::KvResult<Bytes> {
-            self.inner.get(key)
-        }
         fn append(&self, key: &[u8], suffix: &[u8]) -> memfs_memkv::error::KvResult<()> {
             self.inner.append(key, suffix)
-        }
-        fn delete(&self, key: &[u8]) -> memfs_memkv::error::KvResult<()> {
-            self.inner.delete(key)
         }
         fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
             self.begin(self.inner.get_many(keys))
@@ -2146,6 +2100,48 @@ mod tests {
         }
         // A straggler handle to the retired slot fails cleanly.
         assert!(p.client(ServerId(2)).get(b"k0").is_err());
+    }
+
+    #[test]
+    fn a_short_batch_reply_is_an_error_not_a_panic() {
+        // Server 0 answers every get batch with no results at all.
+        struct Short(LocalClient);
+        impl KvClient for Short {
+            fn start_get_many(&self, _keys: &[Bytes]) -> Deferred<Bytes> {
+                Deferred::Ready(Ok(Vec::new()))
+            }
+            fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
+                self.0.start_set_many(items)
+            }
+            fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
+                self.0.start_delete_many(keys)
+            }
+            fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
+                self.0.add(key, value)
+            }
+            fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
+                self.0.append(key, suffix)
+            }
+        }
+        let local = || LocalClient::new(Arc::new(Store::new(StoreConfig::default())));
+        let clients: Vec<Arc<dyn KvClient>> = vec![Arc::new(Short(local())), Arc::new(local())];
+        let p = ServerPool::new(clients, DistributorKind::default());
+        let keys: Vec<Bytes> = (0..16).map(|i| Bytes::from(format!("k{i}"))).collect();
+        let items: Vec<(Bytes, Bytes)> = keys.iter().map(|k| (k.clone(), k.clone())).collect();
+        p.set_many(&items).unwrap();
+        let short =
+            |r: &MemFsResult<Bytes>| matches!(r, Err(MemFsError::Storage(KvError::Protocol(_))));
+        let mut shorted = 0;
+        for (k, r) in keys.iter().zip(p.get_many(&keys)) {
+            if p.server_for(k).0 == 0 {
+                assert!(short(&r), "{r:?}");
+                assert!(short(&p.get(k)));
+                shorted += 1;
+            } else {
+                assert_eq!(&r.unwrap(), k);
+            }
+        }
+        assert!(shorted > 0 && shorted < keys.len());
     }
 
     #[test]

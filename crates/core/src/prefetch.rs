@@ -501,7 +501,7 @@ impl StripeReader {
 mod tests {
     use super::*;
     use crate::config::DistributorKind;
-    use memfs_memkv::{KvClient, LocalClient, Store, StoreConfig};
+    use memfs_memkv::{Deferred, KvClient, LocalClient, Store, StoreConfig};
 
     fn setup(file_size: u64, stripe: usize) -> (Arc<ServerPool>, Bytes) {
         let clients: Vec<Arc<dyn KvClient>> = (0..4)
@@ -650,29 +650,26 @@ mod tests {
     }
 
     impl KvClient for CountingClient {
-        fn set(&self, key: &[u8], value: Bytes) -> memfs_memkv::error::KvResult<()> {
-            self.inner.set(key, value)
-        }
-        fn add(&self, key: &[u8], value: Bytes) -> memfs_memkv::error::KvResult<()> {
-            self.inner.add(key, value)
-        }
         fn get(&self, key: &[u8]) -> memfs_memkv::error::KvResult<Bytes> {
             self.gets.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             self.inner.get(key)
         }
-        fn get_many(
-            &self,
-            keys: &[Bytes],
-        ) -> memfs_memkv::error::KvResult<Vec<memfs_memkv::error::KvResult<Bytes>>> {
+        fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
             self.mgets
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.inner.get_many(keys)
+            self.inner.start_get_many(keys)
+        }
+        fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
+            self.inner.start_set_many(items)
+        }
+        fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
+            self.inner.start_delete_many(keys)
+        }
+        fn add(&self, key: &[u8], value: Bytes) -> memfs_memkv::error::KvResult<()> {
+            self.inner.add(key, value)
         }
         fn append(&self, key: &[u8], suffix: &[u8]) -> memfs_memkv::error::KvResult<()> {
             self.inner.append(key, suffix)
-        }
-        fn delete(&self, key: &[u8]) -> memfs_memkv::error::KvResult<()> {
-            self.inner.delete(key)
         }
     }
 

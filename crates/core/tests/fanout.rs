@@ -263,20 +263,11 @@ impl KvClient for RendezvousClient {
     fn scan_keys(&self) -> KvResult<Vec<Vec<u8>>> {
         self.inner.scan_keys()
     }
-    fn get(&self, key: &[u8]) -> KvResult<Bytes> {
-        self.inner.get(key)
-    }
-    fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        self.inner.set(key, value)
-    }
     fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
         self.inner.add(key, value)
     }
     fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
         self.inner.append(key, suffix)
-    }
-    fn delete(&self, key: &[u8]) -> KvResult<()> {
-        self.inner.delete(key)
     }
     fn contains(&self, key: &[u8]) -> bool {
         self.inner.contains(key)

@@ -2,13 +2,19 @@
 //!
 //! MemFS programs against [`KvClient`], mirroring the role Libmemcached
 //! plays in the paper: the client owns data placement, the servers are
-//! passive. Implementations:
+//! passive. The contract is **batch-first**: an implementation supplies
+//! the three batch submits (`start_get_many`, `start_set_many`,
+//! `start_delete_many`) plus the two non-idempotent single-key verbs
+//! (`add`, `append`); single-key `get`/`set`/`delete` and the blocking
+//! `*_many` calls are written once, in the trait, as a submit followed
+//! by [`Deferred::wait`]. Implementations:
 //!
 //! * [`LocalClient`] — direct in-process calls into a [`Store`] (a MemFS
 //!   node talking to the server in its own DRAM);
 //! * [`ThrottledClient`] — wraps any client with a real-time latency and
 //!   bandwidth shaper, so single-machine benchmarks reproduce the *shape*
 //!   of remote-server behaviour (used for the Figure 3 experiments);
+//! * [`FailableClient`] — failure injection for the replication tests;
 //! * [`crate::net::TcpClient`] — the memcached text protocol over TCP, for
 //!   genuinely distributed deployments.
 
@@ -17,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use crate::error::KvResult;
+use crate::error::{KvError, KvResult};
 use crate::store::Store;
 
 /// A batched operation that may still be in flight.
@@ -68,6 +74,27 @@ impl<T> Deferred<T> {
             Deferred::Polled { ready, .. } => ready(),
         }
     }
+
+    /// [`Deferred::wait`] for a batch of `n` requests. A reply count other
+    /// than `n` is a [`KvError::Protocol`] error, so a misbehaving client
+    /// can never misalign results with their keys.
+    pub fn wait_for(self, n: usize) -> KvResult<Vec<KvResult<T>>> {
+        let results = self.wait()?;
+        if results.len() == n {
+            Ok(results)
+        } else {
+            Err(KvError::Protocol(format!(
+                "batch of {n} requests returned {} results",
+                results.len()
+            )))
+        }
+    }
+
+    /// [`Deferred::wait`] for a one-request batch, unwrapped.
+    fn wait_one(self) -> KvResult<T> {
+        let mut results = self.wait_for(1)?;
+        results.pop().expect("length checked by wait_for")
+    }
 }
 
 /// A client's current liveness view of its storage server — the unit of
@@ -100,49 +127,63 @@ impl ServerHealth {
 /// The operations MemFS needs from a storage server. All methods are
 /// `&self` and implementations must be thread-safe: the write-buffer and
 /// prefetch pools issue concurrent requests.
+///
+/// **Required:** the three batch submits and the two single-key verbs
+/// that are not idempotent (`add`, `append` — the pool treats them
+/// specially, and a transport must never replay them). **Provided:**
+/// every other operation, written once here on top of the submits, so a
+/// transport cannot answer a single-key call differently from a batch.
 pub trait KvClient: Send + Sync {
-    /// Store a value, replacing any existing one.
-    fn set(&self, key: &[u8], value: Bytes) -> KvResult<()>;
-    /// Store a value only if absent.
-    fn add(&self, key: &[u8], value: Bytes) -> KvResult<()>;
-    /// Fetch a value.
-    fn get(&self, key: &[u8]) -> KvResult<Bytes>;
-    /// Atomically append to an existing value.
-    fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()>;
-    /// Remove a key.
-    fn delete(&self, key: &[u8]) -> KvResult<()>;
-    /// Fetch several keys in one round trip, returning one result per key
-    /// in request order. The outer `Err` is a transport-level failure (no
-    /// per-key information); per-key misses surface as inner
-    /// [`KvError::NotFound`](crate::error::KvError::NotFound).
+    /// Begin fetching several keys in one round trip. The completion
+    /// yields one result per key in request order; the outer `Err` is a
+    /// transport-level failure (no per-key information) and per-key
+    /// misses surface as inner [`KvError::NotFound`].
     ///
     /// Keys travel as [`Bytes`] so the fan-out dispatcher's per-server
     /// batches are assembled by reference-count bumps, never key copies.
-    ///
-    /// The default loops over [`KvClient::get`]; batching transports
-    /// override it ([`LocalClient`] calls [`Store::get_many`] once,
-    /// [`crate::net::TcpClient`] sends pipelined multi-key `get` frames).
+    /// Evented transports put the batch on the wire and return without
+    /// blocking; in-process ones complete eagerly ([`Deferred::Ready`]).
+    fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes>;
+    /// Begin storing several key/value pairs (replacing existing values);
+    /// same contract as [`KvClient::start_get_many`].
+    fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()>;
+    /// Begin removing several keys; same contract as
+    /// [`KvClient::start_get_many`], per-key misses surface as inner
+    /// [`KvError::NotFound`].
+    fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()>;
+    /// Store a value only if absent ([`KvError::Exists`] otherwise).
+    fn add(&self, key: &[u8], value: Bytes) -> KvResult<()>;
+    /// Atomically append to an existing value ([`KvError::NotFound`] if
+    /// the key is absent).
+    fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()>;
+
+    /// Fetch a value: a one-key [`KvClient::start_get_many`].
+    fn get(&self, key: &[u8]) -> KvResult<Bytes> {
+        self.start_get_many(&[Bytes::copy_from_slice(key)])
+            .wait_one()
+    }
+    /// Store a value, replacing any existing one: a one-item
+    /// [`KvClient::start_set_many`].
+    fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
+        self.start_set_many(&[(Bytes::copy_from_slice(key), value)])
+            .wait_one()
+    }
+    /// Remove a key: a one-key [`KvClient::start_delete_many`].
+    fn delete(&self, key: &[u8]) -> KvResult<()> {
+        self.start_delete_many(&[Bytes::copy_from_slice(key)])
+            .wait_one()
+    }
+    /// Blocking [`KvClient::start_get_many`].
     fn get_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<Bytes>>> {
-        Ok(keys.iter().map(|k| self.get(k)).collect())
+        self.start_get_many(keys).wait_for(keys.len())
     }
-    /// Store several key/value pairs, returning one result per pair in
-    /// request order. Same error split as [`KvClient::get_many`].
-    ///
-    /// The default loops over [`KvClient::set`]; pipelining transports
-    /// override it to write every frame before reading any reply.
+    /// Blocking [`KvClient::start_set_many`].
     fn set_many(&self, items: &[(Bytes, Bytes)]) -> KvResult<Vec<KvResult<()>>> {
-        Ok(items.iter().map(|(k, v)| self.set(k, v.clone())).collect())
+        self.start_set_many(items).wait_for(items.len())
     }
-    /// Remove several keys in one round trip, returning one result per key
-    /// in request order. Same error split as [`KvClient::get_many`];
-    /// per-key misses surface as inner
-    /// [`KvError::NotFound`](crate::error::KvError::NotFound).
-    ///
-    /// The default loops over [`KvClient::delete`]; pipelining transports
-    /// override it — freeing a striped file's stripes should not cost one
-    /// round trip each.
+    /// Blocking [`KvClient::start_delete_many`].
     fn delete_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<()>>> {
-        Ok(keys.iter().map(|k| self.delete(k)).collect())
+        self.start_delete_many(keys).wait_for(keys.len())
     }
     /// Whether a key exists (no read traffic accounted).
     fn contains(&self, key: &[u8]) -> bool {
@@ -157,27 +198,11 @@ pub trait KvClient: Send + Sync {
     fn supports_submit(&self) -> bool {
         false
     }
-    /// Begin a [`KvClient::get_many`]; the default runs it eagerly.
-    /// Evented transports override this to put the batch on the wire and
-    /// return without blocking.
-    fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
-        Deferred::Ready(self.get_many(keys))
-    }
-    /// Begin a [`KvClient::set_many`]; same contract as
-    /// [`KvClient::start_get_many`].
-    fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
-        Deferred::Ready(self.set_many(items))
-    }
-    /// Begin a [`KvClient::delete_many`]; same contract as
-    /// [`KvClient::start_get_many`].
-    fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
-        Deferred::Ready(self.delete_many(keys))
-    }
     /// Enumerate every key on the server — needed by the elastic
     /// rebalancer. Default: unsupported (transports without the `keys`
     /// protocol extension).
     fn scan_keys(&self) -> KvResult<Vec<Vec<u8>>> {
-        Err(crate::error::KvError::Protocol(
+        Err(KvError::Protocol(
             "key enumeration not supported by this client".into(),
         ))
     }
@@ -225,29 +250,36 @@ impl KvClient for LocalClient {
             .collect())
     }
 
-    fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        self.store.set(key, value)
+    /// A one-key batch takes [`Store::get`], like the server's single-key
+    /// fast path, so in-process and TCP mounts count `cmd_mget` alike;
+    /// an empty batch touches nothing, like the TCP client's.
+    fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
+        Deferred::Ready(Ok(match keys {
+            [] => Vec::new(),
+            [key] => vec![self.store.get(key)],
+            _ => self.store.get_many(keys),
+        }))
+    }
+    fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
+        Deferred::Ready(Ok(items
+            .iter()
+            .map(|(k, v)| self.store.set(k, v.clone()))
+            .collect()))
+    }
+    fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
+        Deferred::Ready(Ok(keys.iter().map(|k| self.store.delete(k)).collect()))
     }
     fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
         self.store.add(key, value)
     }
-    fn get(&self, key: &[u8]) -> KvResult<Bytes> {
-        self.store.get(key)
-    }
-    fn get_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<Bytes>>> {
-        Ok(self.store.get_many(keys))
-    }
     fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
         self.store.append(key, suffix)
-    }
-    fn delete(&self, key: &[u8]) -> KvResult<()> {
-        self.store.delete(key)
     }
     fn contains(&self, key: &[u8]) -> bool {
         self.store.contains(key)
     }
     /// In-process calls complete at memory speed, so the eager `start_*`
-    /// defaults already return as soon as a split submit would.
+    /// calls already return as soon as a split submit would.
     fn supports_submit(&self) -> bool {
         true
     }
@@ -361,48 +393,13 @@ impl<C: KvClient> KvClient for ThrottledClient<C> {
         self.inner.scan_keys()
     }
 
-    fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        self.delay(value.len());
-        self.inner.set(key, value)
-    }
     fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
         self.delay(value.len());
         self.inner.add(key, value)
     }
-    fn get(&self, key: &[u8]) -> KvResult<Bytes> {
-        let out = self.inner.get(key);
-        self.delay(out.as_ref().map(|v| v.len()).unwrap_or(0));
-        out
-    }
-    fn get_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<Bytes>>> {
-        // One round trip for the whole batch: a single latency charge plus
-        // bandwidth on the combined payload — the cost model that makes
-        // batching worth doing over a shaped link.
-        let out = self.inner.get_many(keys)?;
-        let total: usize = out
-            .iter()
-            .map(|r| r.as_ref().map(|v| v.len()).unwrap_or(0))
-            .sum();
-        self.delay(total);
-        Ok(out)
-    }
-    fn set_many(&self, items: &[(Bytes, Bytes)]) -> KvResult<Vec<KvResult<()>>> {
-        let total: usize = items.iter().map(|(_, v)| v.len()).sum();
-        self.delay(total);
-        self.inner.set_many(items)
-    }
     fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
         self.delay(suffix.len());
         self.inner.append(key, suffix)
-    }
-    fn delete(&self, key: &[u8]) -> KvResult<()> {
-        self.delay(0);
-        self.inner.delete(key)
-    }
-    fn delete_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<()>>> {
-        // One round trip for the whole batch (deletes carry no payload).
-        self.delay(0);
-        self.inner.delete_many(keys)
     }
     fn contains(&self, key: &[u8]) -> bool {
         self.inner.contains(key)
@@ -414,6 +411,9 @@ impl<C: KvClient> KvClient for ThrottledClient<C> {
     fn supports_submit(&self) -> bool {
         true
     }
+    /// One round trip for the whole batch: a single latency charge plus
+    /// bandwidth on the combined payload — the cost model that makes
+    /// batching worth doing over a shaped link.
     fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
         let out = self.inner.get_many(keys);
         let total: usize = out
@@ -471,7 +471,7 @@ impl<C: KvClient> FailableClient<C> {
 
     fn check(&self) -> KvResult<()> {
         if self.is_down() {
-            Err(crate::error::KvError::Io(std::io::Error::new(
+            Err(KvError::Io(std::io::Error::new(
                 std::io::ErrorKind::ConnectionRefused,
                 "server down (injected failure)",
             )))
@@ -487,37 +487,13 @@ impl<C: KvClient> KvClient for FailableClient<C> {
         self.inner.scan_keys()
     }
 
-    fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        self.check()?;
-        self.inner.set(key, value)
-    }
     fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
         self.check()?;
         self.inner.add(key, value)
     }
-    fn get(&self, key: &[u8]) -> KvResult<Bytes> {
-        self.check()?;
-        self.inner.get(key)
-    }
-    fn get_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<Bytes>>> {
-        self.check()?;
-        self.inner.get_many(keys)
-    }
-    fn set_many(&self, items: &[(Bytes, Bytes)]) -> KvResult<Vec<KvResult<()>>> {
-        self.check()?;
-        self.inner.set_many(items)
-    }
     fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
         self.check()?;
         self.inner.append(key, suffix)
-    }
-    fn delete(&self, key: &[u8]) -> KvResult<()> {
-        self.check()?;
-        self.inner.delete(key)
-    }
-    fn delete_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<()>>> {
-        self.check()?;
-        self.inner.delete_many(keys)
     }
     fn contains(&self, key: &[u8]) -> bool {
         !self.is_down() && self.inner.contains(key)
@@ -558,8 +534,13 @@ impl<C: KvClient> KvClient for FailableClient<C> {
     }
 }
 
-/// Blanket impls so `Arc<C>` and `&C` are clients too — MemFS holds its
-/// server pool behind `Arc`s.
+/// `Arc<C>` is a client too — MemFS holds its servers behind `Arc`s.
+///
+/// Forwards **every** method, provided ones included. Falling back to the
+/// trait's provided bodies here would rebuild `get`, `contains` and the
+/// blocking batches from the inner client's `start_*`, silently dropping
+/// the inner client's own overrides (such as `LocalClient::contains`,
+/// or a wrapper that accounts single-key calls separately).
 impl<C: KvClient + ?Sized> KvClient for Arc<C> {
     fn scan_keys(&self) -> KvResult<Vec<Vec<u8>>> {
         (**self).scan_keys()
@@ -668,7 +649,7 @@ mod tests {
             ])
             .unwrap();
         assert!(out[0].is_ok());
-        assert!(matches!(out[1], Err(crate::error::KvError::NotFound)));
+        assert!(matches!(out[1], Err(KvError::NotFound)));
         assert!(out[2].is_ok());
         assert!(!c.contains(b"a") && !c.contains(b"b"));
     }
@@ -724,11 +705,8 @@ mod tests {
         let c = FailableClient::new(local());
         c.set(b"k", Bytes::from_static(b"v")).unwrap();
         c.set_down(true);
-        assert!(matches!(c.get(b"k"), Err(crate::error::KvError::Io(_))));
-        assert!(matches!(
-            c.set(b"x", Bytes::new()),
-            Err(crate::error::KvError::Io(_))
-        ));
+        assert!(matches!(c.get(b"k"), Err(KvError::Io(_))));
+        assert!(matches!(c.set(b"x", Bytes::new()), Err(KvError::Io(_))));
         assert!(!c.contains(b"k"));
         c.set_down(false);
         assert_eq!(c.get(b"k").unwrap().as_ref(), b"v");

@@ -84,11 +84,11 @@ impl Default for PoolConfig {
 /// [`ReactorHandle`] so every client of a mount shares one reactor
 /// thread; [`TcpClient::connect_with`] spins up a private one.
 ///
-/// Batch operations ([`KvClient::get_many`], [`KvClient::set_many`]) are
-/// *pipelined*: every frame is queued on one connection and the replies
-/// are read back in order. The `start_*` variants expose the split
-/// submit/completion path for callers that fan one logical operation out
-/// across servers.
+/// Every operation is a *pipelined* batch ([`KvClient::start_get_many`]
+/// and siblings): every frame is queued on one connection and the replies
+/// are read back in order; a single-key call is a one-frame batch. The
+/// split submit/completion path lets callers fan one logical operation
+/// out across servers.
 ///
 /// A connection that dies mid-call is reopened; the request is retried
 /// once, transparently, when it is idempotent (`get`/`set`/`delete`…).
@@ -229,11 +229,6 @@ impl TcpClient {
             .submit(conn, segments, reqs.len(), idempotent)
     }
 
-    /// Submit a batch and wait for the replies, in request order.
-    fn exchange(&self, reqs: &[Request]) -> KvResult<Vec<Response>> {
-        self.submit_batch(reqs).wait()
-    }
-
     /// Pack keys into multi-key `get` lines (bounded by both key count and
     /// line length), one request per chunk. `Bytes` keys make every chunk
     /// push a refcount bump, not a copy.
@@ -259,7 +254,7 @@ impl TcpClient {
 
     /// Issue a request and wait for its response.
     pub fn call(&self, req: &Request) -> KvResult<Response> {
-        let mut resps = self.exchange(std::slice::from_ref(req))?;
+        let mut resps = self.submit_batch(std::slice::from_ref(req)).wait()?;
         Ok(resps.pop().expect("one response per request"))
     }
 
@@ -565,17 +560,6 @@ impl KvClient for TcpClient {
         self.keys()
     }
 
-    fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        match self.call(&Request::Set {
-            key: Bytes::copy_from_slice(key),
-            value,
-            exptime: 0,
-        })? {
-            Response::Stored => Ok(()),
-            other => Err(response_error(other)),
-        }
-    }
-
     fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
         match self.call(&Request::Add {
             key: Bytes::copy_from_slice(key),
@@ -588,20 +572,8 @@ impl KvClient for TcpClient {
         }
     }
 
-    fn get(&self, key: &[u8]) -> KvResult<Bytes> {
-        match self.call(&Request::Get {
-            keys: vec![Bytes::copy_from_slice(key)],
-        })? {
-            Response::Value { value, .. } => Ok(value),
-            Response::End => Err(KvError::NotFound),
-            other => Err(response_error(other)),
-        }
-    }
-
-    fn get_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<Bytes>>> {
-        self.start_get_many(keys).wait()
-    }
-
+    /// A one-key batch is one `get k` frame, which the server answers on
+    /// its single-key path (no `cmd_mget`).
     fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
         if keys.is_empty() {
             return Deferred::Ready(Ok(Vec::new()));
@@ -613,10 +585,6 @@ impl KvClient for TcpClient {
             ready: pending.probe(),
             finish: Box::new(move || decode_get_responses(&keys, pending.wait()?)),
         }
-    }
-
-    fn set_many(&self, items: &[(Bytes, Bytes)]) -> KvResult<Vec<KvResult<()>>> {
-        self.start_set_many(items).wait()
     }
 
     fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
@@ -656,20 +624,6 @@ impl KvClient for TcpClient {
             Response::NotStored => Err(KvError::NotFound),
             other => Err(response_error(other)),
         }
-    }
-
-    fn delete(&self, key: &[u8]) -> KvResult<()> {
-        match self.call(&Request::Delete {
-            key: Bytes::copy_from_slice(key),
-        })? {
-            Response::Deleted => Ok(()),
-            Response::NotFound => Err(KvError::NotFound),
-            other => Err(response_error(other)),
-        }
-    }
-
-    fn delete_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<()>>> {
-        self.start_delete_many(keys).wait()
     }
 
     fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {

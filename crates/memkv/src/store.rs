@@ -392,18 +392,25 @@ impl Store {
     /// oldest queued record under *read* locks, write-lock only the
     /// chosen shard, and walk its queue front — skipping stale duplicate
     /// records, re-queueing read-touched entries (second chance) and
-    /// reclaiming the first genuine victim. Exactly one shard write lock
+    /// reclaiming the first genuine victim. While the chosen shard's
+    /// front stays older than every other shard's, one shard write lock
     /// is taken per reclaimed item. Returns false when nothing is
     /// evictable anywhere.
     fn evict_one(&self) -> bool {
         let mut chances = 0usize;
         'choose: loop {
+            // The oldest front, and the oldest front of any *other* shard.
             let mut best: Option<(usize, u64)> = None;
+            let mut runner_up = u64::MAX;
             for i in 0..self.shards.len() {
                 let front = self.read_shard(i).lru.front().map(|&(_, g)| g);
                 if let Some(g) = front {
-                    if best.is_none_or(|(_, bg)| g < bg) {
-                        best = Some((i, g));
+                    match best {
+                        Some((_, bg)) if g >= bg => runner_up = runner_up.min(g),
+                        _ => {
+                            runner_up = best.map_or(runner_up, |(_, bg)| bg);
+                            best = Some((i, g));
+                        }
                     }
                 }
             }
@@ -434,7 +441,12 @@ impl Store {
                     }
                 };
                 match verdict {
-                    Verdict::Stale => continue,
+                    // Skipping a stale record can leave this shard's
+                    // front younger than another shard's: re-choose then.
+                    Verdict::Stale => match shard.lru.front() {
+                        Some(&(_, g)) if g < runner_up => continue,
+                        _ => continue 'choose,
+                    },
                     Verdict::SecondChance => {
                         // Read-touched since it was queued: re-queue at
                         // the back with a fresh generation and re-pick the
@@ -464,8 +476,6 @@ impl Store {
                     }
                 }
             }
-            // The chosen shard's queue ran dry (stale records only):
-            // every pop shrank it, so re-choosing makes progress.
         }
     }
 
@@ -1458,6 +1468,27 @@ mod tests {
         assert!(!s.contains(b"b"));
         let out = s.get_many(&[b"a".to_vec(), b"c".to_vec()]);
         assert!(out.iter().all(|r| r.is_ok()));
+    }
+
+    #[test]
+    fn eviction_rechooses_the_oldest_front_after_a_stale_record() {
+        // Each item charges 265 bytes; 800 holds three. `a` and `b` sit in
+        // different shards; overwriting `a` leaves its stale first record
+        // at the front of `a`'s shard queue, older than `b`'s record.
+        let s = small_store(800, EvictionPolicy::Lru);
+        let (a, b) = (b"a".as_slice(), b"b".as_slice());
+        assert_ne!(s.shard_of(a), s.shard_of(b));
+        let v = || Bytes::from(vec![0u8; 200]);
+        s.set(a, v()).unwrap();
+        s.set(b, v()).unwrap();
+        s.set(a, v()).unwrap();
+        s.set(b"c", v()).unwrap();
+        // The fourth item needs one eviction: skipping `a`'s stale record
+        // must hand the choice back to the globally oldest front, `b`.
+        s.set(b"d", v()).unwrap();
+        assert!(!s.contains(b), "b is the least recently written key");
+        assert!(s.contains(a), "the overwritten a is newer than b");
+        assert_eq!(s.stats().snapshot().evictions, 1);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 #   scripts/verify.sh --soak     # shaped-cluster suites, N random seeds
 #
 # Tier-1 (must stay green, see ROADMAP.md): release build + root-package
-# tests. fmt/clippy keep the tree warning-free; clippy runs with -D warnings
+# tests, plus the store/client (memfs-memkv) and file-system (memfs-core)
+# crate suites. fmt/clippy keep the tree warning-free; clippy runs with -D warnings
 # so new lints fail the gate instead of scrolling by. The benchmark under
 # perfbench/ (its own cargo workspace, built against the library by path)
 # is built and tested too, so a library API change that breaks it fails
@@ -58,6 +59,9 @@ cargo build --release
 
 echo "==> cargo test -q (tier-1)"
 cargo test -q
+
+echo "==> cargo test -q -p memfs-memkv -p memfs-core"
+cargo test -q -p memfs-memkv -p memfs-core
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

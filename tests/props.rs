@@ -43,8 +43,7 @@ fn mount(n: usize, stripe: usize) -> MemFs {
             stripe_size: stripe,
             write_buffer_size: stripe * 4,
             read_cache_size: stripe * 4,
-            writer_threads: 2,
-            prefetch_threads: 2,
+            io_threads: 2,
             prefetch_window: 2,
             ..MemFsConfig::default()
         },
